@@ -7,6 +7,7 @@ cap sizes, so trial division is always fast enough.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import InternalInconsistencyError, ValidationError
@@ -94,6 +95,28 @@ def multiplicative_order(r: int, modulus: PrimePower) -> int:
         if pow(r, e, q) == 1:
             return e
     raise InternalInconsistencyError("unit order does not divide phi(p^n)")
+
+
+@lru_cache(maxsize=64)
+def unit_group_generator(p: int, exp: int) -> int:
+    """A generator of the cyclic group (Z/p^exp)^* for an odd prime p, exp >= 1.
+
+    The least primitive root g mod p, tested against the prime factors of
+    p - 1 found by trial division, replaced by g + p when g^(p-1) = 1 mod
+    p^2; such a g generates (Z/p^exp)^* for every exp.
+    """
+    if p < 3 or not is_prime(p):
+        raise ValidationError(f"p must be an odd prime, got {p}")
+    if exp < 1:
+        raise ValidationError(f"exponent must be >= 1, got {exp}")
+    factors = [q for q in range(2, p) if (p - 1) % q == 0 and is_prime(q)]
+    g = next(
+        g for g in range(2, p)
+        if all(pow(g, (p - 1) // q, p) != 1 for q in factors)
+    )
+    if pow(g, p - 1, p * p) == 1:
+        g += p
+    return g % p ** exp
 
 
 def split_r(r: int, p: int, n: int) -> tuple[int, int]:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .arith import phi_pk
 from .cyclotomic import CyclotomicElement, root_power
 from .errors import InternalInconsistencyError, ValidationError
 from .group import GroupElement, GroupParams
@@ -30,8 +29,9 @@ class LinearOrbit:
 
 @dataclass(frozen=True, order=True)
 class InducedOrbit:
-    """Orbit of size p^t with canonical label l: the minimum of
-    {l r^i mod p^(n-s+t)} over the orbit, coprime to p."""
+    """Orbit {l r^i mod p^(n-s+t)} of size p^t with canonical label
+    l mod p^(n-s): the orbit is the residue class of l mod p^(n-s), so the
+    label is its minimum, a unit below p^(n-s) (`canonical_orbit_label`)."""
 
     t: int
     l: int
@@ -75,9 +75,15 @@ def _orbit_step_table(params: GroupParams, t: int) -> tuple[int, ...]:
 
 
 def canonical_orbit_label(params: GroupParams, t: int, l: int) -> int:
-    """Minimal element of the orbit {l r^i mod p^(n-s+t)} of the unit l."""
-    q = params.p ** (params.n - params.s + t)
-    return min(l * step % q for step in _orbit_step_table(params, t))
+    """Minimal element of the orbit {l r^i mod p^(n-s+t)} of the unit l.
+
+    r = 1 + k p^(n-s) with gcd(k, p) = 1 has order exactly p^t mod
+    p^(n-s+t), and the units = 1 mod p^(n-s) form a cyclic group of that
+    order containing r, so <r> is all of them. The orbit of l is therefore
+    l (1 + p^(n-s) Z), the whole residue class of l mod p^(n-s) inside
+    Z/p^(n-s+t), and its minimum is l mod p^(n-s).
+    """
+    return l % params.p ** (params.n - params.s)
 
 
 def _require_nonabelian(params: GroupParams) -> None:
@@ -90,28 +96,22 @@ def _require_nonabelian(params: GroupParams) -> None:
 def orbit_decomposition(params: GroupParams) -> list[OrbitDescriptor]:
     """All orbits of the b-action on Irr(<a>), duplicate-free.
 
-    p^(n-s) singletons, then for each t = 1..s exactly phi(p^(n-s)) orbits
-    of size p^t; the sizes are re-counted and must tile Irr(<a>).
+    p^(n-s) singletons, then for each t = 1..s the phi(p^(n-s)) orbits of
+    size p^t labelled by the units below p^(n-s). The members of all orbits
+    must cover each chi-index 0..p^n-1 exactly once.
     """
     _require_nonabelian(params)
     p, n, s = params.p, params.n, params.s
     orbits: list[OrbitDescriptor] = [LinearOrbit(lam) for lam in range(p ** (n - s))]
-    total = p ** (n - s)
+    units = [l for l in range(1, p ** (n - s)) if l % p]
     for t in range(1, s + 1):
-        q = p ** (n - s + t)
-        labels = sorted({
-            canonical_orbit_label(params, t, l)
-            for l in range(1, q)
-            if l % p != 0
-        })
-        if len(labels) != phi_pk(p, n - s):
-            raise InternalInconsistencyError(
-                f"orbit count at t={t}: {len(labels)} != phi(p^(n-s))"
-            )
-        orbits.extend(InducedOrbit(t, l) for l in labels)
-        total += len(labels) * p ** t
-    if total != p ** n:
-        raise InternalInconsistencyError("orbit sizes do not tile Irr(<a>)")
+        orbits.extend(InducedOrbit(t, l) for l in units)
+    hits = [0] * p ** n
+    for orbit in orbits:
+        for k in orbit_members(params, orbit):
+            hits[k] += 1
+    if any(h != 1 for h in hits):
+        raise InternalInconsistencyError("orbits do not tile Irr(<a>)")
     return orbits
 
 

@@ -9,17 +9,20 @@ all 1 for odd p, which validation enforces by rejecting p = 2).
 The Galois action is computed on parameter tuples: sigma_alpha sends
 Induced(t, l, u) to Induced(t, canonical(alpha l), alpha u) and
 Linear(lam, u) to Linear(alpha lam, alpha u) - the latter is exactly the
-action on the character grid of G/G' = C_{p^(n-s)} x C_{p^m}. Agreement
-with the value-level action is checked at oracle scale in verify.py.
+action on the character grid of G/G' = C_{p^(n-s)} x C_{p^m}; canonical
+is the residue l mod p^(n-s) (see `canonical_orbit_label`). The acting group
+(Z/p^C)^* is cyclic for odd p, so one generator sigma_g reaches every
+conjugate: each class is walked as one cycle of sigma_g, one image per
+character. Agreement with the value-level action is checked at oracle scale
+in verify.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
-from .arith import p_adic_valuation, phi_pk
+from .arith import p_adic_valuation, phi_pk, unit_group_generator
 from .complex_reps import (
     InducedOrbit,
     IrreducibleCharacter,
@@ -127,38 +130,46 @@ def sigma_on_character(
     return IrreducibleCharacter(InducedOrbit(t, label), u, ch.degree)
 
 
-@lru_cache(maxsize=64)
-def _units(p: int, level: int) -> tuple[int, ...]:
-    return tuple(a for a in range(1, p ** level) if a % p)
-
-
 def galois_classes(
     chars: list[IrreducibleCharacter], params: GroupParams
 ) -> list[GaloisClass]:
     """Partition the complete irreducible list into Galois conjugacy classes.
 
-    Rejects an incomplete input list (sum of degree^2 must be |G|). Every
-    class size is checked against phi(p^L) of its field level, which is
-    what the class size must be.
+    Gal(Q(zeta_{p^C})/Q) = (Z/p^C)^*, C = max(n, m), is cyclic for odd p,
+    so each class is the cycle ch -> sigma_g(ch) -> ... of one generator g,
+    walked until it returns to ch. Rejects an incomplete input list (sum of
+    degree^2 must be |G|) and duplicates. Every image must lie in the list,
+    a walk may take at most phi(p^C) steps, and every class size is checked
+    against phi(p^L) of its field level, which is what the class size must be.
     """
     if sum(ch.degree ** 2 for ch in chars) != params.order:
         raise ValidationError("character list is incomplete: sum(deg^2) != |G|")
     pool = set(chars)
     if len(pool) != len(chars):
         raise ValidationError("character list contains duplicates")
-    units = _units(params.p, max(params.n, params.m))
+    level_c = max(params.n, params.m)
+    g = unit_group_generator(params.p, level_c)
+    max_steps = phi_pk(params.p, level_c)
     seen: set[IrreducibleCharacter] = set()
     classes: list[GaloisClass] = []
     for ch in sorted(chars, key=IrreducibleCharacter.key):
         if ch in seen:
             continue
-        orbit = {sigma_on_character(ch, alpha, params) for alpha in units}
-        if not orbit <= pool:
-            raise InternalInconsistencyError(
-                "Galois image escapes the enumerated character list"
-            )
+        orbit = [ch]
+        image = sigma_on_character(ch, g, params)
+        while image != ch:
+            if image not in pool:
+                raise InternalInconsistencyError(
+                    "Galois image escapes the enumerated character list"
+                )
+            if len(orbit) == max_steps:
+                raise InternalInconsistencyError(
+                    f"Galois walk from {ch} exceeds phi(p^{level_c}) steps"
+                )
+            orbit.append(image)
+            image = sigma_on_character(image, g, params)
         members = tuple(sorted(orbit, key=IrreducibleCharacter.key))
-        seen |= orbit
+        seen.update(orbit)
         level = character_field_level(members[0], params)
         if len(members) != phi_pk(params.p, level):
             raise InternalInconsistencyError(

@@ -5,7 +5,9 @@ from metacyclic.arith import (
     euler_phi_prime_power,
     multiplicative_order,
     p_adic_valuation,
+    phi_pk,
     split_r,
+    unit_group_generator,
 )
 from metacyclic.errors import ValidationError
 
@@ -123,3 +125,12 @@ def test_order_of_canonical_twists():
                         continue
                     r = 1 + k * p ** (n - s)
                     assert multiplicative_order(r, PrimePower(p, n)) == p ** s
+
+
+def test_unit_group_generator_has_full_order():
+    for p in (3, 5, 7, 11, 13):
+        for exp in range(1, 7):
+            g = unit_group_generator(p, exp)
+            assert multiplicative_order(g, PrimePower(p, exp)) == phi_pk(p, exp)
+    with pytest.raises(ValidationError):
+        unit_group_generator(9, 2)

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from metacyclic import complex_reps
 from metacyclic.complex_reps import (
     InducedOrbit,
     LinearOrbit,
+    _orbit_step_table,
+    canonical_orbit_label,
     character_value,
     enumerate_irreducibles,
     materialize_matrices,
@@ -12,8 +15,9 @@ from metacyclic.complex_reps import (
     orbit_members,
 )
 from metacyclic.cyclotomic import CyclotomicElement, root_power
-from metacyclic.errors import ValidationError
+from metacyclic.errors import InternalInconsistencyError, ValidationError
 from metacyclic.group import GroupElement, validate
+from metacyclic.verify import valid_parameter_sets
 
 
 def degree_histogram(chars):
@@ -64,6 +68,29 @@ def test_orbits_match_direct_action():
         direct = brute_force_orbits(params)
         rebuilt = {frozenset(orbit_members(params, o)) for o in orbit_decomposition(params)}
         assert rebuilt == direct
+
+
+def test_label_is_minimum_of_orbit():
+    grid = [q for p in (3, 5, 7) for q in valid_parameter_sets(p, 10 ** 4)] + [
+        validate(3, 4, 2, 10), validate(5, 4, 2, 51), validate(7, 3, 2, 15)
+    ]
+    for params in grid:
+        p = params.p
+        for t in range(1, params.s + 1):
+            q = p ** (params.n - params.s + t)
+            steps = _orbit_step_table(params, t)
+            for l in range(1, q):
+                if l % p:
+                    assert canonical_orbit_label(params, t, l) == min(
+                        l * step % q for step in steps
+                    ), (params, t, l)
+
+
+def test_orbit_decomposition_rejects_bad_tiling(monkeypatch):
+    params = validate(3, 4, 2, 10)
+    monkeypatch.setattr(complex_reps, "orbit_members", lambda params, orbit: [0])
+    with pytest.raises(InternalInconsistencyError):
+        orbit_decomposition(params)
 
 
 def test_orbit_decomposition_rejects_abelian():

@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from metacyclic import rational
 from metacyclic.complex_reps import (
     IrreducibleCharacter,
     LinearOrbit,
@@ -9,15 +11,17 @@ from metacyclic.complex_reps import (
     enumerate_irreducibles,
 )
 from metacyclic.cyclotomic import galois_apply
-from metacyclic.errors import ValidationError
+from metacyclic.errors import InternalInconsistencyError, ValidationError
 from metacyclic.group import GroupElement, validate
 from metacyclic.rational import (
+    GaloisClass,
     character_field_level,
     galois_classes,
     rational_counts_from_classes,
     sigma_on_character,
     wedderburn_from_classes,
 )
+from metacyclic.verify import valid_parameter_sets
 
 G1 = validate(3, 4, 2, 10)
 G2 = validate(3, 3, 3, 4)
@@ -182,3 +186,53 @@ def test_class_members_share_values_up_to_galois():
                     ) == character_value(member, g, params)
                 break
         assert found
+
+
+# the (p, n, m, s) grid with p^(n+m) <= 10^4, plus twists with k != 1
+GRID = [q for p in (3, 5, 7) for q in valid_parameter_sets(p, 10 ** 4)] + [
+    validate(3, 4, 2, 10), validate(5, 4, 2, 51), validate(7, 3, 2, 15)
+]
+
+
+def all_units_galois_classes(chars, params):
+    """Reference: each class is the image set of every unit mod p^C."""
+    p = params.p
+    units = [a for a in range(1, p ** max(params.n, params.m)) if a % p]
+    seen, classes = set(), []
+    for ch in sorted(chars, key=IrreducibleCharacter.key):
+        if ch in seen:
+            continue
+        orbit = {sigma_on_character(ch, alpha, params) for alpha in units}
+        members = tuple(sorted(orbit, key=IrreducibleCharacter.key))
+        seen |= orbit
+        level = character_field_level(members[0], params)
+        classes.append(GaloisClass(members[0], members, len(members), level))
+    return classes
+
+
+def test_generator_walk_equals_all_units_classes():
+    for params in GRID:
+        chars = enumerate_irreducibles(params)
+        assert galois_classes(chars, params) == all_units_galois_classes(chars, params), params
+
+
+@pytest.mark.parametrize("escape", [False, True])
+def test_broken_action_is_rejected_quickly(monkeypatch, escape):
+    params = validate(3, 4, 2, 10)
+    chars = enumerate_irreducibles(params)
+    outside = IrreducibleCharacter(LinearOrbit(-1), 0, 1)
+
+    calls = []
+
+    def broken(ch, alpha, params):
+        # leaves the list, or sticks at chars[1] and never returns to chars[0]
+        calls.append(ch)
+        if len(calls) > 10 ** 4:
+            raise RuntimeError("the walk was not stopped")
+        return outside if escape else chars[1]
+
+    monkeypatch.setattr(rational, "sigma_on_character", broken)
+    start = time.perf_counter()
+    with pytest.raises(InternalInconsistencyError):
+        galois_classes(chars, params)
+    assert time.perf_counter() - start < 2

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from metacyclic import verify
 from metacyclic.complex_reps import character_value, enumerate_irreducibles
 from metacyclic.cyclotomic import CyclotomicElement, galois_apply
 from metacyclic.errors import SizeBoundError
@@ -113,6 +114,21 @@ def test_orthogonality_detects_corruption():
     table[5] = (table[5] + 1) % 9  # poison one value
     checker._tables[3] = table
     assert not checker._pair_orthogonal(3, 4)
+
+
+def test_decomposition_check_detects_corrupted_closed_form(monkeypatch):
+    params = validate(3, 2, 3, 4)
+    checker = DeepChecker(params, rng=random.Random(0))
+    assert checker.check_decomposition().ok
+    closed = verify.wedderburn_closed_form(params)
+    first = closed.components[0]
+    bumped = SimpleComponent(first.matrix_size, first.center_level,
+                             first.multiplicity + 1)
+    corrupted = WedderburnDecomposition(3, (bumped,) + closed.components[1:])
+    monkeypatch.setattr(verify, "wedderburn_closed_form", lambda params: corrupted)
+    result = checker.check_decomposition()
+    assert not result.ok
+    assert "closed=2 oracle=1" in result.detail
 
 
 def test_matrix_relation_check_is_not_vacuous():
