@@ -26,6 +26,12 @@ def is_prime(x: int) -> bool:
     return True
 
 
+def check_odd_prime(p: int) -> None:
+    """Reject p unless it is an odd prime, the scope of every module here."""
+    if not is_prime(p) or p < 3:
+        raise ValidationError(f"p must be an odd prime, got {p}")
+
+
 def phi_pk(p: int, exp: int) -> int:
     """Euler phi of p^exp for prime p, with phi(p^0) = 1. No validation."""
     if exp == 0:
@@ -41,8 +47,7 @@ class PrimePower:
     exp: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p) or self.p < 3:
-            raise ValidationError(f"p must be an odd prime, got {self.p}")
+        check_odd_prime(self.p)
         if self.exp < 0:
             raise ValidationError(f"exponent must be >= 0, got {self.exp}")
 
@@ -105,8 +110,7 @@ def unit_group_generator(p: int, exp: int) -> int:
     p - 1 found by trial division, replaced by g + p when g^(p-1) = 1 mod
     p^2; such a g generates (Z/p^exp)^* for every exp.
     """
-    if p < 3 or not is_prime(p):
-        raise ValidationError(f"p must be an odd prime, got {p}")
+    check_odd_prime(p)
     if exp < 1:
         raise ValidationError(f"exponent must be >= 1, got {exp}")
     factors = [q for q in range(2, p) if (p - 1) % q == 0 and is_prime(q)]
@@ -126,8 +130,7 @@ def split_r(r: int, p: int, n: int) -> tuple[int, int]:
     re-checked before returning. r = 1 mod p^n (the abelian case) and
     r != 1 mod p (order not a p-power) are rejected.
     """
-    if not is_prime(p) or p < 3:
-        raise ValidationError(f"p must be an odd prime, got {p}")
+    check_odd_prime(p)
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     q = p ** n

@@ -17,15 +17,25 @@ with a "<mult>*" prefix when a component occurs more than once, e.g.
 "Q + 4*Q(z3) + 12*Q(z9) + 3*M3(Q(z9)) + M9(Q(z9))". JSON output is a flat
 document with keys p, n, m, r, s, k, order, canonical_r,
 components:[{q, lambda, mult}], complex_counts, rational_counts, provenance.
+
+`verify` runs one path for every group: both routes via `cross_validate`,
+one `diff_components`, then "VERIFIED <tag>: <decomposition>" (or the same
+JSON document with provenance "both (verified)") or "MISMATCH <tag>" plus
+one diff line per component. The tag is "p= n= m= s= r= |G|=" for
+non-abelian groups and "abelian p= n= m=" for abelian ones; `--deep` needs
+s >= 1. Size and primality bounds are checked before any expensive work,
+and `verify --all` checks the oracle bound on every group before printing
+its first row. `sweep --threads N` needs N >= 1 and starts at most
+min(N, rows, CPUs) worker processes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from random import Random
 
@@ -40,11 +50,12 @@ from .formulas import (
     rational_counts_closed_form,
     wedderburn_closed_form,
 )
-from .group import ORACLE_ORDER_BOUND, GroupParams, from_s, validate
+from .group import GroupParams, check_oracle_bound, from_s, validate
 from .rational import SimpleComponent, WedderburnDecomposition
 from .verify import (
     DeepChecker,
     cross_validate,
+    diff_components,
     valid_parameter_sets,
 )
 
@@ -194,10 +205,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="metacyclic", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_params(sp, with_abelian=True):
+    def add_params(sp, with_abelian=True, required=True):
         sp.add_argument("--p", type=int, required=True, help="odd prime")
-        sp.add_argument("--n", type=int, required=True, help="exponent of |a| = p^n")
-        sp.add_argument("--m", type=int, required=True, help="exponent of |b| = p^m")
+        sp.add_argument("--n", type=int, required=required, help="exponent of |a| = p^n")
+        sp.add_argument("--m", type=int, required=required, help="exponent of |b| = p^m")
         group = sp.add_mutually_exclusive_group()
         group.add_argument("--r", type=int, help="twist: b a b^-1 = a^r")
         group.add_argument("--s", type=int, help="order exponent of r mod p^n "
@@ -211,13 +222,7 @@ def _build_parser() -> _Parser:
     dec.add_argument("--format", choices=("text", "json"), default="text")
 
     ver = sub.add_parser("verify", help="closed form vs character-theoretic oracle")
-    ver.add_argument("--p", type=int, required=True)
-    ver.add_argument("--n", type=int)
-    ver.add_argument("--m", type=int)
-    group = ver.add_mutually_exclusive_group()
-    group.add_argument("--r", type=int)
-    group.add_argument("--s", type=int)
-    ver.add_argument("--abelian", action="store_true")
+    add_params(ver, required=False)
     ver.add_argument("--all", action="store_true",
                      help="sweep every valid (n, m, s) up to --max-order")
     ver.add_argument("--max-order", type=int, default=None)
@@ -289,20 +294,19 @@ def _corrupted(dec: WedderburnDecomposition) -> WedderburnDecomposition:
 
 def _verify_one(params: GroupParams, args) -> int:
     result = cross_validate(params)
-    closed = result.closed
-    if args.corrupt_hook:
-        closed = _corrupted(closed)
-        diff = tuple(
-            line for line in _diff(closed, result.oracle)
-        )
-        result = result.__class__(params, closed, result.oracle, not diff, diff)
-    tag = f"p={params.p} n={params.n} m={params.m} s={params.s} r={params.r}"
-    if not result.match:
+    closed = _corrupted(result.closed) if args.corrupt_hook else result.closed
+    diff = diff_components(closed, result.oracle)
+    if params.abelian:
+        tag, size = f"abelian p={params.p} n={params.n} m={params.m}", ""
+    else:
+        tag = f"p={params.p} n={params.n} m={params.m} s={params.s} r={params.r}"
+        size = f" |G|={params.order}"
+    if diff:
         print(f"MISMATCH {tag}")
-        for line in result.diff:
+        for line in diff:
             print(f"  {line}")
         return EXIT_MISMATCH
-    if args.deep and not params.abelian:
+    if args.deep:
         checker = DeepChecker(params, rng=Random(args.seed))
         failures = []
         for check in checker.run_all():
@@ -316,88 +320,60 @@ def _verify_one(params: GroupParams, args) -> int:
                   + ", ".join(c.name for c in failures))
             return EXIT_MISMATCH
     if args.format == "json":
-        report = build_report(params, result.closed, "both (verified)")
+        report = build_report(params, closed, "both (verified)")
         print(json.dumps(report.to_json_dict()))
     else:
-        print(f"VERIFIED {tag} |G|={params.order}: {format_decomposition(result.closed)}")
+        print(f"VERIFIED {tag}{size}: {format_decomposition(closed)}")
     return EXIT_OK
-
-
-def _diff(a, b):
-    from .verify import diff_components
-
-    return diff_components(a, b)
 
 
 def _cmd_verify(args) -> int:
     if args.all:
         if args.max_order is None:
             raise _UsageError("--all requires --max-order")
-        worst = EXIT_OK
-        for params in valid_parameter_sets(args.p, args.max_order):
-            code = _verify_one(params, args)
-            worst = max(worst, code)
-        return worst
+        groups = list(valid_parameter_sets(args.p, args.max_order))
+        for params in groups:
+            check_oracle_bound(params)
+        return max((_verify_one(params, args) for params in groups), default=EXIT_OK)
     if args.n is None or args.m is None:
         raise _UsageError("verify needs --n and --m (or --all with --max-order)")
     params = _params_from_args(args)
-    if params.abelian:
-        # closed form vs grid-orbit oracle
-        result = cross_validate(params)
-        if args.corrupt_hook:
-            closed = _corrupted(result.closed)
-            diff = tuple(_diff(closed, result.oracle))
-            result = result.__class__(params, closed, result.oracle, not diff, diff)
-        if not result.match:
-            print(f"MISMATCH abelian p={params.p} n={params.n} m={params.m}")
-            for line in result.diff:
-                print(f"  {line}")
-            return EXIT_MISMATCH
-        print(f"VERIFIED abelian p={params.p} n={params.n} m={params.m}: "
-              f"{format_decomposition(result.closed)}")
-        return EXIT_OK
+    if args.deep and params.abelian:
+        raise _UsageError("--deep needs s >= 1 (an abelian group has only linear characters)")
     return _verify_one(params, args)
 
 
 def _cmd_counts(args) -> int:
     params = _params_from_args(args)
-    if args.oracle and params.order > ORACLE_ORDER_BOUND:
-        raise SizeBoundError(
-            f"|G| = {params.order} exceeds the oracle bound {ORACLE_ORDER_BOUND}"
-        )
+    if args.oracle:
+        check_oracle_bound(params)
     if args.kind == "complex":
         formula = complex_counts_closed_form(params)
         rows = [{"degree": d, "count": c} for d, c in sorted(formula.items())]
-        if args.oracle:
-            from .complex_reps import enumerate_irreducibles
-
-            oracle: dict[int, int] = {}
-            for ch in enumerate_irreducibles(params):
-                oracle[ch.degree] = oracle.get(ch.degree, 0) + 1
-            for row in rows:
-                row["oracle"] = oracle.get(row["degree"], 0)
-                if row["oracle"] != row["count"]:
-                    raise InternalInconsistencyError(
-                        f"complex count mismatch at degree {row['degree']}"
-                    )
     else:
         counts = rational_counts_closed_form(params)
         rows = [
             {"lambda": lam, "degree": phi_pk(params.p, lam), "count": c}
             for lam, c in counts.by_lambda.items()
         ]
-        if args.oracle:
-            from .complex_reps import enumerate_irreducibles
+    if args.oracle:
+        from .complex_reps import enumerate_irreducibles
+
+        chars = enumerate_irreducibles(params)
+        if args.kind == "complex":
+            oracle: dict[int, int] = {}
+            for ch in chars:
+                oracle[ch.degree] = oracle.get(ch.degree, 0) + 1
+        else:
             from .rational import galois_classes, rational_counts_from_classes
 
-            classes = galois_classes(enumerate_irreducibles(params), params)
-            oracle = rational_counts_from_classes(classes, params)
-            for row in rows:
-                row["oracle"] = oracle.get(row["degree"], 0)
-                if row["oracle"] != row["count"]:
-                    raise InternalInconsistencyError(
-                        f"rational count mismatch at degree {row['degree']}"
-                    )
+            oracle = rational_counts_from_classes(galois_classes(chars, params), params)
+        for row in rows:
+            row["oracle"] = oracle.get(row["degree"], 0)
+            if row["oracle"] != row["count"]:
+                raise InternalInconsistencyError(
+                    f"{args.kind} count mismatch at degree {row['degree']}"
+                )
     doc = {
         "kind": args.kind,
         "p": params.p, "n": params.n, "m": params.m,
@@ -433,12 +409,17 @@ def _sweep_row(task: tuple[int, int, int, int, bool]) -> dict:
 
 
 def _cmd_sweep(args) -> int:
+    if args.threads < 1:
+        raise _UsageError(f"--threads must be >= 1, got {args.threads}")
     tasks = [
         (q.p, q.n, q.m, q.s, args.oracle)
         for q in valid_parameter_sets(args.p, args.max_order)
     ]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    workers = min(args.threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
         rows = [_sweep_row(t) for t in tasks]

@@ -87,7 +87,7 @@ def canonical_orbit_label(params: GroupParams, t: int, l: int) -> int:
 
 
 def _require_nonabelian(params: GroupParams) -> None:
-    if params.abelian or params.s == 0:
+    if params.abelian:
         raise ValidationError(
             "abelian parameters have no induced orbits; use the abelian closed form"
         )

@@ -19,13 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import is_prime, phi_pk
+from .arith import check_odd_prime, phi_pk
 from .errors import ValidationError
-
-
-def _check_p(p: int) -> None:
-    if not is_prime(p) or p < 3:
-        raise ValidationError(f"p must be an odd prime, got {p}")
 
 
 def reduce_power_vector(p: int, level: int, vec) -> list:
@@ -82,13 +77,13 @@ class CyclotomicElement:
 
     @classmethod
     def rational(cls, p: int, value) -> "CyclotomicElement":
-        _check_p(p)
+        check_odd_prime(p)
         return cls._make(p, 0, [Fraction(value)])
 
     @classmethod
     def from_power_vector(cls, p: int, level: int, vec) -> "CyclotomicElement":
         """Reduce raw exponent coefficients (any length) into an element."""
-        _check_p(p)
+        check_odd_prime(p)
         if level < 0:
             raise ValidationError(f"level must be >= 0, got {level}")
         return cls._make(p, level, reduce_power_vector(p, level, vec))
@@ -245,7 +240,7 @@ def _common(x: CyclotomicElement, y: CyclotomicElement):
 
 def root_power(p: int, level: int, e: int) -> CyclotomicElement:
     """zeta_{p^level}^e, canonically reduced; e is taken mod p^level."""
-    _check_p(p)
+    check_odd_prime(p)
     if level < 0:
         raise ValidationError(f"level must be >= 0, got {level}")
     q = p ** level

@@ -11,33 +11,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_prime, phi_pk
+from .arith import check_odd_prime, phi_pk
 from .errors import InternalInconsistencyError, ValidationError
 from .group import GroupParams
 from .rational import WedderburnDecomposition, assemble_components
 
 
+def _abelian_items(p: int, hi: int, lo: int) -> list[tuple[int, int, int]]:
+    """Summands (q, lambda, mult) of Q(C_{p^hi} x C_{p^lo}), hi >= lo >= 0,
+    as listed in `abelian_closed_form`."""
+    items = [(1, 0, 1)]
+    items += [(1, lam, p ** lam + p ** (lam - 1)) for lam in range(1, lo + 1)]
+    items += [(1, lam, p ** lo) for lam in range(lo + 1, hi + 1)]
+    return items
+
+
 def wedderburn_closed_form(params: GroupParams) -> WedderburnDecomposition:
     """The decomposition of QG as a canonical component multiset.
 
-    Branches on n-s >= m, else on k = m-(n-s) <= s vs k > s. Abelian
-    parameters are routed to `abelian_closed_form`. The dimension identity
-    sum(mult * q^2 * phi(p^lambda)) = p^(n+m) is asserted on every output.
+    The commutative part is Q(G/G') with G/G' = C_{p^(n-s)} x C_{p^m}; the
+    matrix components branch on n-s >= m, else on k = m-(n-s) <= s vs
+    k > s. Abelian parameters are routed to `abelian_closed_form`. The
+    dimension identity sum(mult * q^2 * phi(p^lambda)) = p^(n+m) is
+    asserted on every output.
     """
     if params.abelian:
         hi, lo = max(params.n, params.m), min(params.n, params.m)
         return abelian_closed_form(params.p, hi, lo)
     p, n, m, s = params.p, params.n, params.m, params.s
     w = n - s
-    items: list[tuple[int, int, int]] = [(1, 0, 1)]
+    items = _abelian_items(p, max(w, m), min(w, m))
     if w >= m:
-        items += [(1, lam, p ** lam + p ** (lam - 1)) for lam in range(1, m + 1)]
-        items += [(1, lam, p ** m) for lam in range(m + 1, w + 1)]
         items += [(p ** t, w, p ** (m - t)) for t in range(1, s + 1)]
     else:
         k = m - w
-        items += [(1, lam, p ** lam + p ** (lam - 1)) for lam in range(1, w + 1)]
-        items += [(1, lam, p ** w) for lam in range(w + 1, m + 1)]
         if k <= s:
             items += [(p ** t, w, p ** w) for t in range(1, k)]
             items += [
@@ -65,14 +72,10 @@ def abelian_closed_form(p: int, n: int, m: int) -> WedderburnDecomposition:
     """Q(C_{p^n} x C_{p^m}) for n >= m >= 0 (caller swaps to enforce):
     Q + sum_{lam=1..m} (p^lam + p^(lam-1)) Q(zeta_{p^lam})
       + sum_{lam=m+1..n} p^m Q(zeta_{p^lam}); all matrix sizes are 1."""
-    if not is_prime(p) or p < 3:
-        raise ValidationError(f"p must be an odd prime, got {p}")
+    check_odd_prime(p)
     if not n >= m >= 0:
         raise ValidationError(f"need n >= m >= 0, got ({n}, {m})")
-    items = [(1, 0, 1)]
-    items += [(1, lam, p ** lam + p ** (lam - 1)) for lam in range(1, m + 1)]
-    items += [(1, lam, p ** m) for lam in range(m + 1, n + 1)]
-    decomposition = assemble_components(p, items)
+    decomposition = assemble_components(p, _abelian_items(p, n, m))
     if decomposition.dimension() != p ** (n + m):
         raise InternalInconsistencyError("abelian closed form dimension check failed")
     return decomposition

@@ -43,7 +43,11 @@ class GroupParams:
     r: int
     s: int
     k: int
-    abelian: bool = False
+
+    @property
+    def abelian(self) -> bool:
+        """s = 0, i.e. r = 1 and G = C_{p^n} x C_{p^m}."""
+        return self.s == 0
 
     @property
     def order(self) -> int:
@@ -57,15 +61,13 @@ class GroupParams:
         return 1 + self.p ** (self.n - self.s)
 
 
-def validate(p: int, n: int, m: int, r: int, *, abelian: bool = False) -> GroupParams:
-    """Check a presentation and derive (s, k); the only constructor.
-
-    Rejects non-prime or even p, exponent ranges outside the presentation's
-    scope, r not coprime to p, r whose order mod p^n is not a p-power, and
-    s > m (the presentation would not define a group of order p^(n+m)).
-    r is reduced mod p^n first. r = 1 mod p^n is only allowed with
-    abelian=True.
-    """
+def _check_shape(p: int, n: int, m: int, abelian: bool) -> None:
+    """The checks on (p, n, m) alone, cheapest first: p and n + m are
+    bounded before `is_prime` or p^(n+m) can take long."""
+    if p > FORMULA_ORDER_BOUND:
+        raise SizeBoundError(
+            f"p = {p} exceeds the supported bound {FORMULA_ORDER_BOUND} on |G|"
+        )
     if not is_prime(p):
         raise ValidationError(f"p must be prime, got {p}")
     if p == 2:
@@ -78,17 +80,29 @@ def validate(p: int, n: int, m: int, r: int, *, abelian: bool = False) -> GroupP
             raise ValidationError(f"n must be >= 2, got {n}")
         if m < 1:
             raise ValidationError(f"m must be >= 1, got {m}")
-    order = p ** (n + m)
-    if order > FORMULA_ORDER_BOUND:
+    # 2^bit_length > bound, so a longer exponent exceeds it for every p
+    if n + m > FORMULA_ORDER_BOUND.bit_length() or p ** (n + m) > FORMULA_ORDER_BOUND:
         raise SizeBoundError(
             f"|G| = {p}^{n + m} exceeds the supported bound {FORMULA_ORDER_BOUND}"
         )
+
+
+def validate(p: int, n: int, m: int, r: int, *, abelian: bool = False) -> GroupParams:
+    """Check a presentation and derive (s, k); the only constructor.
+
+    Rejects non-prime or even p, exponent ranges outside the presentation's
+    scope, |G| = p^(n+m) above FORMULA_ORDER_BOUND, r not coprime to p, r
+    whose order mod p^n is not a p-power, and s > m (the presentation would
+    not define a group of order p^(n+m)). r is reduced mod p^n first.
+    r = 1 mod p^n is only allowed with abelian=True.
+    """
+    _check_shape(p, n, m, abelian)
     q = p ** n
     r = r % q
     if abelian:
         if r != 1 % q:
             raise ValidationError(f"abelian mode requires r = 1 mod p^n, got r={r}")
-        return GroupParams(p, n, m, 1 % q, 0, 0, abelian=True)
+        return GroupParams(p, n, m, 1 % q, 0, 0)
     if gcd(r, p) != 1:
         raise ValidationError(f"r={r} is not coprime to p={p}")
     if r == 1:
@@ -107,7 +121,17 @@ def from_s(p: int, n: int, m: int, s: int) -> GroupParams:
         return validate(p, n, m, 1, abelian=True)
     if not 1 <= s <= n - 1:
         raise ValidationError(f"s must satisfy 1 <= s <= n-1, got s={s}, n={n}")
+    _check_shape(p, n, m, False)  # before p^(n-s), which can be huge
     return validate(p, n, m, 1 + p ** (n - s))
+
+
+def check_oracle_bound(params: GroupParams) -> None:
+    """Reject groups above ORACLE_ORDER_BOUND before any route that walks
+    all group elements or enumerates Irr(G)."""
+    if params.order > ORACLE_ORDER_BOUND:
+        raise SizeBoundError(
+            f"|G| = {params.order} exceeds the oracle bound {ORACLE_ORDER_BOUND}"
+        )
 
 
 @lru_cache(maxsize=128)
@@ -179,10 +203,7 @@ def conjugacy_classes(params: GroupParams) -> list[tuple[GroupElement, ...]]:
     (p^(n+m-s) + p^(n+m-s-1) - p^(n+m-2s-1) in the non-abelian case).
     Bounded by ORACLE_ORDER_BOUND.
     """
-    if params.order > ORACLE_ORDER_BOUND:
-        raise SizeBoundError(
-            f"|G| = {params.order} exceeds the oracle bound {ORACLE_ORDER_BOUND}"
-        )
+    check_oracle_bound(params)
     qa = params.p ** params.n
     qb = params.p ** params.m
     seen = [False] * (qa * qb)
@@ -233,10 +254,7 @@ def _subgroup_closure(gens, params: GroupParams) -> set[GroupElement]:
 def derived_subgroup(params: GroupParams) -> set[GroupElement]:
     """Commutator subgroup by brute force: the normal closure of the
     commutators of the generators (oracle-scale only)."""
-    if params.order > ORACLE_ORDER_BOUND:
-        raise SizeBoundError(
-            f"|G| = {params.order} exceeds the oracle bound {ORACLE_ORDER_BOUND}"
-        )
+    check_oracle_bound(params)
     a, b = GroupElement(1, 0), GroupElement(0, 1)
     gens = set()
     for x, y in ((a, b), (b, a)):

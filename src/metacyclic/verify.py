@@ -1,13 +1,17 @@
 """Cross-validation between the closed form and the character-theoretic oracle.
 
-The deep checks here walk all |G| elements, so everything is gated by the
-oracle size bound. Character values are handled in a monomial form: every
-value of every character is either 0 or deg * zeta_{p^C}^e with
-C = max(n, m), so value tables are plain integer exponent tables and the
-orthogonality/trace sums reduce through the same canonical basis reduction
-that CyclotomicElement uses. The monomial tables are themselves checked
-against `character_value` on random elements, tying the fast path to the
-exact slow one.
+`cross_validate` runs both routes on one group, abelian or not, and
+`diff_components` is the one comparison of their component multisets.
+Every oracle-side entry point (`decomposition_via_oracle`, `DeepChecker`)
+first passes `group.check_oracle_bound`, since the oracle enumerates Irr(G)
+and the deep checks walk all |G| elements.
+
+Character values are handled in a monomial form: every value of every
+character is either 0 or deg * zeta_{p^C}^e with C = max(n, m), so value
+tables are plain integer exponent tables and the orthogonality/trace sums
+reduce through the same canonical basis reduction that CyclotomicElement
+uses. The monomial tables are themselves checked against `character_value`
+on random elements, tying the fast path to the exact slow one.
 """
 
 from __future__ import annotations
@@ -25,16 +29,15 @@ from .complex_reps import (
     materialize_matrices,
 )
 from .cyclotomic import CyclotomicElement, reduce_power_vector, root_power
-from .errors import SizeBoundError
 from .formulas import (
     complex_counts_closed_form,
     rational_counts_closed_form,
     wedderburn_closed_form,
 )
 from .group import (
-    ORACLE_ORDER_BOUND,
     GroupElement,
     GroupParams,
+    check_oracle_bound,
     conjugacy_classes,
     from_s,
 )
@@ -47,13 +50,6 @@ from .rational import (
     sigma_on_character,
     wedderburn_from_classes,
 )
-
-
-def _check_oracle_bound(params: GroupParams, bound: int) -> None:
-    if params.order > bound:
-        raise SizeBoundError(
-            f"|G| = {params.order} exceeds the oracle bound {bound}"
-        )
 
 
 def valid_parameter_sets(p: int, max_order: int):
@@ -69,13 +65,11 @@ def valid_parameter_sets(p: int, max_order: int):
         nm += 1
 
 
-def decomposition_via_oracle(
-    params: GroupParams, *, bound: int = ORACLE_ORDER_BOUND
-) -> WedderburnDecomposition:
+def decomposition_via_oracle(params: GroupParams) -> WedderburnDecomposition:
     """Decompose from first principles: enumerate Irr(G), class it under
     the Galois action, and assemble one component per class."""
-    _check_oracle_bound(params, bound)
-    if params.abelian or params.s == 0:
+    check_oracle_bound(params)
+    if params.abelian:
         return _abelian_oracle(params)
     chars = enumerate_irreducibles(params)
     classes = galois_classes(chars, params)
@@ -125,12 +119,10 @@ def diff_components(
     return out
 
 
-def cross_validate(
-    params: GroupParams, *, bound: int = ORACLE_ORDER_BOUND
-) -> CrossCheck:
+def cross_validate(params: GroupParams) -> CrossCheck:
     """Run both routes and compare the component multisets exactly."""
     closed = wedderburn_closed_form(params)
-    oracle = decomposition_via_oracle(params, bound=bound)
+    oracle = decomposition_via_oracle(params)
     diff = diff_components(closed, oracle)
     return CrossCheck(params, closed, oracle, not diff, tuple(diff))
 
@@ -284,10 +276,9 @@ class DeepChecker:
 
     params: GroupParams
     rng: random.Random = field(default_factory=lambda: random.Random(0))
-    bound: int = ORACLE_ORDER_BOUND
 
     def __post_init__(self):
-        _check_oracle_bound(self.params, self.bound)
+        check_oracle_bound(self.params)
         self._chars: list[IrreducibleCharacter] | None = None
         self._tables: dict[int, list[int | None]] = {}
         self._conj_classes = None

@@ -134,3 +134,25 @@ def test_unit_group_generator_has_full_order():
             assert multiplicative_order(g, PrimePower(p, exp)) == phi_pk(p, exp)
     with pytest.raises(ValidationError):
         unit_group_generator(9, 2)
+
+
+def test_check_odd_prime_is_the_one_odd_prime_check():
+    from metacyclic.arith import check_odd_prime
+    from metacyclic.cyclotomic import CyclotomicElement, root_power
+    from metacyclic.formulas import abelian_closed_form
+
+    for p in (-3, 0, 1, 2, 9):
+        for call in (
+            lambda: check_odd_prime(p),
+            lambda: PrimePower(p, 1),
+            lambda: unit_group_generator(p, 1),
+            lambda: split_r(4, p, 2),
+            lambda: abelian_closed_form(p, 1, 0),
+            lambda: CyclotomicElement.rational(p, 0),
+            lambda: CyclotomicElement.from_power_vector(p, 1, [1]),
+            lambda: root_power(p, 1, 0),
+        ):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == f"p must be an odd prime, got {p}"
+    check_odd_prime(3)

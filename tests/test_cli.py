@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -18,7 +19,7 @@ def run_cli(*args):
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "metacyclic", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=60,
     )
 
 
@@ -138,3 +139,111 @@ def test_sweep_rows_and_threads():
                        "--format", "json", "--threads", "2")
     assert threaded.returncode == 0
     assert threaded.stdout == serial.stdout
+
+
+def run_main(capsys, argv):
+    from metacyclic import cli
+
+    code = cli.main(argv.split())
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_oversized_input_rejected_fast():
+    for argv in (
+        "decompose --p 3 --n 30000000 --m 2 --r 10",
+        "decompose --p 3 --n 30000000 --m 2 --s 1",
+        "decompose --p 1000000000000000003 --n 2 --m 1 --r 4",
+        "decompose --p 1000000000000000004 --n 2 --m 1 --r 4",
+    ):
+        start = time.perf_counter()
+        proc = run_cli(*argv.split())
+        assert time.perf_counter() - start < 2, argv
+        assert proc.returncode == 4, (argv, proc.stderr)
+        assert proc.stdout == ""
+
+
+def test_verify_all_checks_oracle_bound_before_first_row(capsys):
+    from metacyclic.verify import valid_parameter_sets
+
+    code, out, err = run_main(capsys, "verify --p 3 --all --max-order 100000")
+    assert (code, out) == (4, "")
+    assert "exceeds the oracle bound" in err
+    code, out, _ = run_main(capsys, "verify --p 3 --all --max-order 15000")
+    assert code == 0
+    groups = len(list(valid_parameter_sets(3, 3 ** 8)))  # 3^9 > 15000
+    assert out.count("VERIFIED") == len(out.splitlines()) == groups
+
+
+def test_verify_abelian_json_and_deep(capsys):
+    code, out, _ = run_main(capsys, "verify --p 3 --n 2 --m 2 --abelian --format json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["provenance"] == "both (verified)"
+    assert (doc["s"], doc["order"], doc["complex_counts"]) == (0, 81, {"1": 81})
+    code, out, err = run_main(capsys, "verify --p 3 --n 2 --m 2 --abelian --deep")
+    assert (code, out) == (1, "")
+    assert "--deep needs s >= 1" in err
+
+
+def test_counts_oracle_mismatch_is_internal_inconsistency(capsys, monkeypatch):
+    from metacyclic import complex_reps, rational
+
+    real = complex_reps.enumerate_irreducibles
+    monkeypatch.setattr(complex_reps, "enumerate_irreducibles",
+                        lambda params: real(params)[1:])
+    code, out, err = run_main(capsys, "counts --p 3 --n 2 --m 2 --r 4 --kind complex --oracle")
+    assert (code, out) == (5, "")
+    assert "complex count mismatch at degree 1" in err
+
+    monkeypatch.setattr(complex_reps, "enumerate_irreducibles", real)
+    real_counts = rational.rational_counts_from_classes
+    monkeypatch.setattr(rational, "rational_counts_from_classes",
+                        lambda classes, params: {**real_counts(classes, params), 2: 0})
+    code, out, err = run_main(capsys, "counts --p 3 --n 2 --m 2 --r 4 --kind rational --oracle")
+    assert (code, out) == (5, "")
+    assert "rational count mismatch at degree 2" in err
+
+
+def test_sweep_threads_validated_and_capped(capsys, monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    code, out, err = run_main(capsys, "sweep --p 3 --max-order 243 --threads 0")
+    assert (code, out) == (1, "")
+    assert "--threads must be >= 1" in err
+
+    _, serial, _ = run_main(capsys, "sweep --p 3 --max-order 243")
+    for cpus, threads, expected in ((4, 1000, [4]), (64, 1000, [7]), (64, 3, [3]),
+                                    (None, 1000, []), (64, 1, [])):
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, out, _ = run_main(capsys, f"sweep --p 3 --max-order 243 --threads {threads}")
+        assert (code, out) == (0, serial)
+        assert sizes == expected  # 7 rows: min(threads, rows, cpus) workers
+
+
+def test_cli_import_starts_no_process_pool_machinery():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, metacyclic.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.stdout.strip() == "False", proc.stderr

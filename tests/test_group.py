@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from metacyclic.errors import SizeBoundError, ValidationError
 from metacyclic.group import (
     GroupElement,
+    GroupParams,
+    check_oracle_bound,
     conjugacy_classes,
     conjugate,
     derived_subgroup,
@@ -48,6 +51,42 @@ def test_validate_rejections():
         validate(3, 1, 1, 2)  # n < 2 in non-abelian mode
     with pytest.raises(SizeBoundError):
         validate(3, 10, 6, 4)  # 3^16 > 10^7
+
+
+def test_size_checks_run_first_but_keep_the_exit_order():
+    # p and n + m are bounded before is_prime or p^(n+m) can take long
+    for args in ((3, 30_000_000, 2, 10), (10 ** 18 + 3, 2, 1, 4), (10 ** 18 + 4, 2, 1, 4)):
+        with pytest.raises(SizeBoundError):
+            validate(*args)
+    with pytest.raises(SizeBoundError):
+        from_s(3, 30_000_000, 2, 1)
+    # for p <= 10^7 the range checks still come before the size check
+    with pytest.raises(ValidationError):
+        validate(3, 1, 30, 4)  # n < 2
+    with pytest.raises(ValidationError):
+        validate(4, 30, 2, 3)  # not prime
+    with pytest.raises(ValidationError):
+        from_s(3, 30, 0, 1)  # m < 1
+    with pytest.raises(SizeBoundError):
+        validate(3, 2, 30, 4)  # n + m > 24
+
+
+def test_abelian_is_derived_from_s():
+    assert from_s(3, 2, 2, 0).abelian
+    assert not validate(3, 2, 1, 4).abelian
+    assert "abelian" not in {f.name for f in dataclasses.fields(GroupParams)}
+
+
+def test_oracle_bound_is_one_check():
+    from metacyclic.verify import DeepChecker, cross_validate, decomposition_via_oracle
+
+    check_oracle_bound(from_s(3, 7, 1, 1))  # 3^8 <= 10^4
+    big = from_s(3, 8, 1, 1)  # 3^9 > 10^4
+    for call in (check_oracle_bound, conjugacy_classes, derived_subgroup,
+                 decomposition_via_oracle, cross_validate, DeepChecker):
+        with pytest.raises(SizeBoundError) as exc:
+            call(big)
+        assert str(exc.value) == "|G| = 19683 exceeds the oracle bound 10000"
 
 
 def test_r_normalization():
