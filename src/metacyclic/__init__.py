@@ -21,7 +21,6 @@ from .complex_reps import (
     LinearOrbit,
     character_value,
     enumerate_irreducibles,
-    materialize_matrices,
     orbit_decomposition,
 )
 from .cyclotomic import CyclotomicElement, galois_apply, minimal_level, root_power
@@ -87,7 +86,6 @@ __all__ = [
     "orbit_decomposition",
     "enumerate_irreducibles",
     "character_value",
-    "materialize_matrices",
     "GaloisClass",
     "SimpleComponent",
     "WedderburnDecomposition",

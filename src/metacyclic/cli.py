@@ -25,7 +25,9 @@ one diff line per component. The tag is "p= n= m= s= r= |G|=" for
 non-abelian groups and "abelian p= n= m=" for abelian ones; `--deep` needs
 s >= 1. Size and primality bounds are checked before any expensive work,
 and `verify --all` checks the oracle bound on every group before printing
-its first row. `sweep --threads N` needs N >= 1 and starts at most
+its first row. `verify --all` and `sweep` check p and `--max-order >= 1`
+even when no group fits, and `--max-order` without `--all` is a usage
+error. `sweep --threads N` needs N >= 1 and starts at most
 min(N, rows, CPUs) worker processes.
 """
 
@@ -327,14 +329,22 @@ def _verify_one(params: GroupParams, args) -> int:
     return EXIT_OK
 
 
+def _check_max_order(max_order: int) -> None:
+    if max_order < 1:
+        raise _UsageError(f"--max-order must be >= 1, got {max_order}")
+
+
 def _cmd_verify(args) -> int:
     if args.all:
         if args.max_order is None:
             raise _UsageError("--all requires --max-order")
+        _check_max_order(args.max_order)
         groups = list(valid_parameter_sets(args.p, args.max_order))
         for params in groups:
             check_oracle_bound(params)
         return max((_verify_one(params, args) for params in groups), default=EXIT_OK)
+    if args.max_order is not None:
+        raise _UsageError("--max-order needs --all")
     if args.n is None or args.m is None:
         raise _UsageError("verify needs --n and --m (or --all with --max-order)")
     params = _params_from_args(args)
@@ -411,6 +421,7 @@ def _sweep_row(task: tuple[int, int, int, int, bool]) -> dict:
 def _cmd_sweep(args) -> int:
     if args.threads < 1:
         raise _UsageError(f"--threads must be >= 1, got {args.threads}")
+    _check_max_order(args.max_order)
     tasks = [
         (q.p, q.n, q.m, q.s, args.oracle)
         for q in valid_parameter_sets(args.p, args.max_order)

@@ -5,8 +5,10 @@ H = <b>: the b-action on Irr(N) is chi_k -> chi_{rk}, its orbits are
 singletons {chi_{lam p^s}} plus orbits of size p^t indexed by a canonical
 unit label l, and each orbit together with a character omega^u of the
 inertia quotient yields one irreducible character of G. Characters are
-stored as parameter tuples with an exact value function; full value tables
-exist only inside the verification code.
+stored as parameter tuples with an exact value function, `character_value`.
+Value tables and explicit (monomial) matrices exist only inside the
+verification code, `verify.monomial_form` and `verify.monomial_generators`,
+which the deep checks compare against `character_value`.
 """
 
 from __future__ import annotations
@@ -178,36 +180,3 @@ def character_value(
     za = root_power(p, n, g.i * l * p ** (s - t))
     return d * omega * za
 
-
-def materialize_matrices(ch: IrreducibleCharacter, params: GroupParams):
-    """Explicit matrices for the images of a and b (test-only facility).
-
-    Linear: 1x1. Induced of degree d = p^t: a maps to the diagonal matrix
-    with entries zeta^(r^c l p^(s-t)) ordered by ascending conjugating power
-    c, and b to the cyclic shift with omega = zeta_{p^(m-t)}^u in the
-    bottom-left corner. The matrices satisfy all three presentation
-    relations exactly, and traces reproduce `character_value`.
-    """
-    p, n, m, s = params.p, params.n, params.m, params.s
-    if isinstance(ch.orbit, LinearOrbit):
-        a_img = [[root_power(p, n, ch.orbit.lam * p ** s)]]
-        b_img = [[root_power(p, m, ch.u)]]
-        return a_img, b_img
-    t, l = ch.orbit.t, ch.orbit.l
-    d = p ** t
-    zero = CyclotomicElement.rational(p, 0)
-    steps = _orbit_step_table(params, t)  # r^c mod p^(n-s+t)
-    shift = p ** (s - t)
-    a_img = [
-        [
-            root_power(p, n, steps[c] * l * shift) if c == c2 else zero
-            for c2 in range(d)
-        ]
-        for c in range(d)
-    ]
-    one = CyclotomicElement.rational(p, 1)
-    b_img = [[zero] * d for _ in range(d)]
-    for c in range(d - 1):
-        b_img[c][c + 1] = one
-    b_img[d - 1][0] = root_power(p, m - t, ch.u)
-    return a_img, b_img

@@ -61,9 +61,9 @@ class GroupParams:
         return 1 + self.p ** (self.n - self.s)
 
 
-def _check_shape(p: int, n: int, m: int, abelian: bool) -> None:
-    """The checks on (p, n, m) alone, cheapest first: p and n + m are
-    bounded before `is_prime` or p^(n+m) can take long."""
+def check_p(p: int) -> None:
+    """The checks on p alone, cheapest first: p is bounded before
+    `is_prime` can take long."""
     if p > FORMULA_ORDER_BOUND:
         raise SizeBoundError(
             f"p = {p} exceeds the supported bound {FORMULA_ORDER_BOUND} on |G|"
@@ -72,6 +72,12 @@ def _check_shape(p: int, n: int, m: int, abelian: bool) -> None:
         raise ValidationError(f"p must be prime, got {p}")
     if p == 2:
         raise ValidationError("p = 2 is out of scope (odd primes only)")
+
+
+def _check_shape(p: int, n: int, m: int, abelian: bool) -> None:
+    """The checks on (p, n, m) alone, cheapest first: p and n + m are
+    bounded before `is_prime` or p^(n+m) can take long."""
+    check_p(p)
     if abelian:
         if n < 0 or m < 0 or n + m < 1:
             raise ValidationError(f"abelian mode needs n, m >= 0, n+m >= 1, got ({n}, {m})")

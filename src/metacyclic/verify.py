@@ -6,12 +6,24 @@ Every oracle-side entry point (`decomposition_via_oracle`, `DeepChecker`)
 first passes `group.check_oracle_bound`, since the oracle enumerates Irr(G)
 and the deep checks walk all |G| elements.
 
-Character values are handled in a monomial form: every value of every
-character is either 0 or deg * zeta_{p^C}^e with C = max(n, m), so value
-tables are plain integer exponent tables and the orthogonality/trace sums
-reduce through the same canonical basis reduction that CyclotomicElement
-uses. The monomial tables are themselves checked against `character_value`
-on random elements, tying the fast path to the exact slow one.
+Every irreducible psi has one monomial form (d, A, B), built by
+`monomial_form`, the only place that tells linear from induced characters.
+With C = max(n, m), d = 1 for a linear character and d = p^t for one
+induced from an orbit of size p^t, A = lam p^s p^(C-n) (linear) or
+A = l p^(s-t) p^(C-n) (induced), and B = u p^(C-m), all mod p^C:
+
+    psi(a^i b^j) = deg * zeta_{p^C}^(A i + B j)   if d | i and d | j,
+                 = 0                               otherwise.
+
+Value tables are therefore integer exponent tables, one arithmetic
+progression per row i = 0 mod d, and the orthogonality/trace sums reduce
+through the same canonical basis reduction that CyclotomicElement uses.
+The same (d, A, B) gives the monomial matrices: a -> diag(zeta^(r^c A))
+for c = 0..d-1, b -> the cyclic shift with zeta^(d B) in the last row.
+The deep checks tie this fast path to the exact slow one: the matrices
+must satisfy the presentation relations and reproduce the table as traces
+on every element, and the table must agree with `character_value` on
+random elements.
 """
 
 from __future__ import annotations
@@ -21,12 +33,10 @@ from dataclasses import dataclass, field
 
 from .arith import p_adic_valuation, unit_group_generator
 from .complex_reps import (
-    InducedOrbit,
     IrreducibleCharacter,
     LinearOrbit,
     character_value,
     enumerate_irreducibles,
-    materialize_matrices,
 )
 from .cyclotomic import CyclotomicElement, reduce_power_vector, root_power
 from .formulas import (
@@ -38,6 +48,7 @@ from .group import (
     GroupElement,
     GroupParams,
     check_oracle_bound,
+    check_p,
     conjugacy_classes,
     from_s,
 )
@@ -53,7 +64,9 @@ from .rational import (
 
 
 def valid_parameter_sets(p: int, max_order: int):
-    """All non-abelian (n, m, s) with p^(n+m) <= max_order, canonical r."""
+    """All non-abelian (n, m, s) with p^(n+m) <= max_order, canonical r.
+    p is checked first, so a bad p is rejected even when no group fits."""
+    check_p(p)
     nm = 3  # n >= 2, m >= 1
     while p ** nm <= max_order:
         for n in range(2, nm):
@@ -136,32 +149,33 @@ def ambient_level(params: GroupParams) -> int:
     return max(params.n, params.m)
 
 
-def monomial_exponent(
-    ch: IrreducibleCharacter, i: int, j: int, params: GroupParams
-) -> int | None:
-    """Exponent e with psi(a^i b^j) = deg(psi) * zeta_{p^C}^e, or None for 0."""
+def monomial_form(ch: IrreducibleCharacter, params: GroupParams) -> tuple[int, int, int]:
+    """(d, A, B) with psi(a^i b^j) = deg * zeta_{p^C}^(A i + B j) when d
+    divides both i and j, and 0 otherwise.
+
+    Linear: d = 1, A = lam p^s p^(C-n). Induced of degree p^t: d = p^t,
+    A = l p^(s-t) p^(C-n). Both: B = u p^(C-m); all exponents mod p^C.
+    """
     p, n, m, s = params.p, params.n, params.m, params.s
     qc = p ** ambient_level(params)
     if isinstance(ch.orbit, LinearOrbit):
-        ea = ch.orbit.lam * p ** s * i * (qc // p ** n)
-        eb = ch.u * j * (qc // p ** m)
-        return (ea + eb) % qc
-    d = p ** ch.orbit.t
-    if i % d or j % d:
-        return None
-    ea = i * ch.orbit.l * p ** (s - ch.orbit.t) * (qc // p ** n)
-    eb = ch.u * (j // d) * (qc // p ** (m - ch.orbit.t))
-    return (ea + eb) % qc
+        d, a_base = 1, ch.orbit.lam * p ** s
+    else:
+        d, a_base = p ** ch.orbit.t, ch.orbit.l * p ** (s - ch.orbit.t)
+    return d, a_base * (qc // p ** n) % qc, ch.u * (qc // p ** m) % qc
 
 
 def value_table(ch: IrreducibleCharacter, params: GroupParams) -> list[int | None]:
-    """Exponent table over all group elements, indexed by i * p^m + j."""
+    """Exponent table over all group elements, indexed by i * p^m + j: an
+    arithmetic progression along every row i = 0 mod d, None elsewhere."""
+    d, a_exp, b_exp = monomial_form(ch, params)
     qa, qb = params.p ** params.n, params.p ** params.m
+    qc = params.p ** ambient_level(params)
+    row = [b_exp * j % qc for j in range(0, qb, d)]
     table: list[int | None] = [None] * (qa * qb)
-    for i in range(qa):
-        base = i * qb
-        for j in range(qb):
-            table[base + j] = monomial_exponent(ch, i, j, params)
+    for i in range(0, qa, d):
+        base = a_exp * i % qc
+        table[i * qb:(i + 1) * qb:d] = [(base + e) % qc for e in row]
     return table
 
 
@@ -172,7 +186,7 @@ def _monomial_as_element(params, degree: int, exponent: int | None) -> Cyclotomi
 
 
 # ---------------------------------------------------------------------------
-# monomial matrices (images of group elements under an induced character)
+# monomial matrices (images of a and b under a character)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -215,14 +229,6 @@ class MonomialMatrix:
             e >>= 1
         return acc
 
-    def trace_vector(self, p: int, level: int) -> list:
-        """Canonical basis coordinates of the trace."""
-        vec = [0] * (p ** level)
-        for c, target in enumerate(self.perm):
-            if target == c:
-                vec[self.exps[c]] += 1
-        return reduce_power_vector(p, level, vec)
-
     def to_dense(self, p: int, level: int) -> list[list[CyclotomicElement]]:
         d = len(self.perm)
         zero = CyclotomicElement.rational(p, 0)
@@ -235,25 +241,17 @@ class MonomialMatrix:
 def monomial_generators(
     ch: IrreducibleCharacter, params: GroupParams
 ) -> tuple[MonomialMatrix, MonomialMatrix]:
-    """Monomial-matrix images of a and b for an induced character, with all
-    roots of unity written at the ambient level."""
-    assert isinstance(ch.orbit, InducedOrbit)
-    p, n, m, s = params.p, params.n, params.m, params.s
-    t, l = ch.orbit.t, ch.orbit.l
-    d = p ** t
-    qc = p ** ambient_level(params)
-    qn = p ** (n - s + t)
-    scale_a = qc // p ** n
-    a_exps = []
-    step = 1
-    for _ in range(d):
-        a_exps.append(step * l * p ** (s - t) * scale_a % qc)
-        step = step * params.r % qn
+    """Monomial-matrix images of a and b from `monomial_form`: a maps to
+    diag(zeta^(r^c A)) for c = 0..d-1, b to the cyclic shift with
+    zeta^(d B) in the last row; for d = 1 the 1x1 matrices (zeta^A), (zeta^B)."""
+    d, a_exp, b_exp = monomial_form(ch, params)
+    qc = params.p ** ambient_level(params)
+    a_exps = [a_exp]
+    for _ in range(d - 1):
+        a_exps.append(a_exps[-1] * params.r % qc)
     a_mat = MonomialMatrix(qc, tuple(range(d)), tuple(a_exps))
     b_perm = tuple((c + 1) % d for c in range(d))
-    b_exps = [0] * d
-    b_exps[d - 1] = ch.u * (qc // p ** (m - t)) % qc
-    b_mat = MonomialMatrix(qc, b_perm, tuple(b_exps))
+    b_mat = MonomialMatrix(qc, b_perm, (0,) * (d - 1) + (d * b_exp % qc,))
     return a_mat, b_mat
 
 
@@ -426,46 +424,37 @@ class DeepChecker:
 
     def check_matrix_relations(self) -> CheckResult:
         """For one sampled induced character per degree: the monomial
-        matrices satisfy A^(p^n) = I, B^(p^m) = I, B A B^-1 = A^r, they
-        agree entry-wise with `materialize_matrices`, and their traces match
-        the character value on every group element."""
+        matrices satisfy A^(p^n) = I, B^(p^m) = I, B A B^-1 = A^r, and their
+        traces match the value table on every group element."""
         params = self.params
         p, n, m = params.p, params.n, params.m
-        level = ambient_level(params)
-        qc = p ** level
+        qc = p ** ambient_level(params)
         checked = []
         for t in range(1, params.s + 1):
             degree = p ** t
-            pool = [ch for ch in self.chars if ch.degree == degree]
-            ch = self.rng.choice(pool)
-            a_mat, b_mat = monomial_generators(ch, params)
-            d = degree
-            ident = MonomialMatrix.identity(qc, d)
+            pool = [k for k, ch in enumerate(self.chars) if ch.degree == degree]
+            k = self.rng.choice(pool)
+            a_mat, b_mat = monomial_generators(self.chars[k], params)
+            ident = MonomialMatrix.identity(qc, degree)
             if a_mat.pow(p ** n) != ident:
                 return CheckResult("matrix_relations", False, f"A^(p^n) != I at t={t}")
             if b_mat.pow(p ** m) != ident:
                 return CheckResult("matrix_relations", False, f"B^(p^m) != I at t={t}")
             if b_mat * a_mat * b_mat.inv() != a_mat.pow(params.r):
                 return CheckResult("matrix_relations", False, f"B A B^-1 != A^r at t={t}")
-            dense_a, dense_b = materialize_matrices(ch, params)
-            if a_mat.to_dense(p, level) != dense_a or b_mat.to_dense(p, level) != dense_b:
-                return CheckResult(
-                    "matrix_relations", False, f"dense mismatch at t={t}"
-                )
-            if not self._traces_match(ch, a_mat, b_mat):
+            if not self._traces_match(k, a_mat, b_mat):
                 return CheckResult("matrix_relations", False, f"trace mismatch at t={t}")
-            checked.append(ch)
-        return CheckResult(
-            "matrix_relations", True, f"degrees checked={[c.degree for c in checked]}"
-        )
+            checked.append(degree)
+        return CheckResult("matrix_relations", True, f"degrees checked={checked}")
 
-    def _traces_match(
-        self, ch: IrreducibleCharacter, a_mat: MonomialMatrix, b_mat: MonomialMatrix
-    ) -> bool:
+    def _traces_match(self, k: int, a_mat: MonomialMatrix, b_mat: MonomialMatrix) -> bool:
+        """tr(A^i B^j) == psi_k(a^i b^j) for every group element, read from
+        the cached value table of character k."""
         params = self.params
         p, level = params.p, ambient_level(params)
         qc = p ** level
         qa, qb = p ** params.n, p ** params.m
+        table, degree = self.table(k), self.chars[k].degree
         d = len(a_mat.perm)
         b_pows = [MonomialMatrix.identity(qc, d)]
         for _ in range(qb - 1):
@@ -477,7 +466,7 @@ class DeepChecker:
                     (a_exps[c] + a_mat.exps[c]) % qc for c in range(d)
                 ]
             for j in range(qb):
-                expected = monomial_exponent(ch, i, j, params)
+                expected = table[i * qb + j]
                 bj = b_pows[j]
                 if j % d:  # shift permutation: zero diagonal, zero trace
                     if expected is not None:
@@ -490,7 +479,7 @@ class DeepChecker:
                 target = [0] * len(reduced)
                 if expected is not None:
                     tvec = [0] * qc
-                    tvec[expected] = ch.degree
+                    tvec[expected] = degree
                     target = reduce_power_vector(p, level, tvec)
                 if reduced != target:
                     return False

@@ -280,6 +280,14 @@ CONTRACT = [
     ("counts --p 3 --n 8 --m 2 --s 0 --kind complex --oracle", 4, ""),
     ("sweep --p 3 --max-order 100000000", 4, ""),
     ("decompose --p 10000019 --n 2 --m 1 --r 4", 4, ""),
+    ("verify --p 4 --all --max-order 10", 2, ""),
+    ("sweep --p 4 --max-order 10", 2, ""),
+    ("sweep --p 1000000000000000003 --max-order 10", 4, ""),
+    ("verify --p 3 --all --max-order 0", 1, ""),
+    ("verify --p 3 --all --max-order -5", 1, ""),
+    ("sweep --p 3 --max-order 0", 1, ""),
+    ("sweep --p 3 --max-order -5", 1, ""),
+    ("verify --p 3 --n 2 --m 2 --r 4 --max-order 5", 1, ""),
 ]
 
 

@@ -10,14 +10,13 @@ from metacyclic.complex_reps import (
     canonical_orbit_label,
     character_value,
     enumerate_irreducibles,
-    materialize_matrices,
     orbit_decomposition,
     orbit_members,
 )
 from metacyclic.cyclotomic import CyclotomicElement, root_power
 from metacyclic.errors import InternalInconsistencyError, ValidationError
 from metacyclic.group import GroupElement, validate
-from metacyclic.verify import valid_parameter_sets
+from metacyclic.verify import ambient_level, monomial_generators, valid_parameter_sets
 
 
 def degree_histogram(chars):
@@ -176,31 +175,35 @@ def trace(mat, p):
     return total
 
 
+def dense_generators(ch, params):
+    """Dense images of a and b: `monomial_generators` expanded entry by entry."""
+    level = ambient_level(params)
+    a_mat, b_mat = monomial_generators(ch, params)
+    return a_mat.to_dense(params.p, level), b_mat.to_dense(params.p, level)
+
+
 def test_materialized_matrices_satisfy_relations():
-    params = validate(3, 2, 1, 4)
-    chars = enumerate_irreducibles(params)
-    ident = [
-        [CyclotomicElement.rational(3, 1 if i == j else 0) for j in range(3)]
-        for i in range(3)
-    ]
-    for ch in chars:
-        a_img, b_img = materialize_matrices(ch, params)
-        if ch.degree == 1:
-            assert a_img[0][0] ** 9 == 1 and b_img[0][0] ** 3 == 1
-            continue
-        assert dense_pow(a_img, 9, 3) == ident
-        assert dense_pow(b_img, 3, 3) == ident
-        # B A = A^r B
-        assert dense_matmul(b_img, a_img, 3) == dense_matmul(
-            dense_pow(a_img, params.r, 3), b_img, 3
-        )
+    for params in (validate(3, 2, 1, 4), validate(3, 3, 2, 7)):
+        p = params.p
+        for ch in enumerate_irreducibles(params):
+            a_img, b_img = dense_generators(ch, params)
+            d = ch.degree
+            ident = [
+                [CyclotomicElement.rational(p, 1 if i == j else 0) for j in range(d)]
+                for i in range(d)
+            ]
+            assert dense_pow(a_img, p ** params.n, p) == ident
+            assert dense_pow(b_img, p ** params.m, p) == ident
+            # B A = A^r B
+            assert dense_matmul(b_img, a_img, p) == dense_matmul(
+                dense_pow(a_img, params.r, p), b_img, p
+            )
 
 
 def test_matrix_traces_reproduce_character_values():
     params = validate(3, 2, 1, 4)
-    nonlinear = [ch for ch in enumerate_irreducibles(params) if ch.degree == 3]
-    for ch in nonlinear:
-        a_img, b_img = materialize_matrices(ch, params)
+    for ch in enumerate_irreducibles(params):
+        a_img, b_img = dense_generators(ch, params)
         for i in range(9):
             for j in range(3):
                 mat = dense_matmul(dense_pow(a_img, i, 3), dense_pow(b_img, j, 3), 3)
@@ -208,15 +211,15 @@ def test_matrix_traces_reproduce_character_values():
 
 
 def test_b_power_is_omega_identity():
-    # B^(p^t) = omega * I for an induced character of degree p^t
+    # B^(p^t) = omega * I, omega = zeta_{p^(m-t)}^u, for every character of
+    # degree p^t (t = 0 for a linear one)
     params = validate(3, 3, 3, 4)
-    sample = next(
-        ch for ch in enumerate_irreducibles(params)
-        if ch.degree == 3 and ch.u == 1
-    )
-    _, b_img = materialize_matrices(sample, params)
-    cube = dense_pow(b_img, 3, 3)
-    omega = root_power(3, 2, sample.u)  # omega = zeta_{p^(m-t)}^u
-    for i in range(3):
-        for j in range(3):
-            assert cube[i][j] == (omega if i == j else 0)
+    for ch in enumerate_irreducibles(params):
+        d = ch.degree
+        t = 0 if ch.is_linear else ch.orbit.t
+        _, b_img = dense_generators(ch, params)
+        power = dense_pow(b_img, d, 3)
+        omega = root_power(3, params.m - t, ch.u)
+        for i in range(d):
+            for j in range(d):
+                assert power[i][j] == (omega if i == j else 0)

@@ -15,8 +15,8 @@ from metacyclic.verify import (
     cross_validate,
     decomposition_via_oracle,
     diff_components,
-    monomial_exponent,
     valid_parameter_sets,
+    value_table,
 )
 
 
@@ -55,21 +55,23 @@ def test_abelian_oracle_route():
 
 
 def test_monomial_exponent_against_character_value():
-    params = validate(3, 2, 3, 4)
-    level = ambient_level(params)
-    rng = random.Random(42)
-    chars = enumerate_irreducibles(params)
+    # every cell of every value table, the s = 2, k = 2 twist (3,3,2,7) included
     from metacyclic.cyclotomic import root_power
 
-    for _ in range(80):
-        ch = rng.choice(chars)
-        g = GroupElement(rng.randrange(9), rng.randrange(27))
-        exponent = monomial_exponent(ch, g.i, g.j, params)
-        slow = character_value(ch, g, params)
-        if exponent is None:
-            assert slow == 0
-        else:
-            assert slow == ch.degree * root_power(params.p, level, exponent)
+    for params in (validate(3, 2, 1, 4), validate(3, 3, 2, 7)):
+        level = ambient_level(params)
+        qa, qb = params.p ** params.n, params.p ** params.m
+        for ch in enumerate_irreducibles(params):
+            table = value_table(ch, params)
+            assert len(table) == params.order
+            for i in range(qa):
+                for j in range(qb):
+                    exponent = table[i * qb + j]
+                    slow = character_value(ch, GroupElement(i, j), params)
+                    if exponent is None:
+                        assert slow == 0
+                    else:
+                        assert slow == ch.degree * root_power(params.p, level, exponent)
 
 
 def test_orthogonality_slow_route_sample():
@@ -138,8 +140,8 @@ def test_matrix_relation_check_is_not_vacuous():
     # a poisoned character table must break the trace comparison
     from metacyclic.verify import monomial_generators
 
-    ch = next(c for c in checker.chars if c.degree == 3)
-    a_mat, b_mat = monomial_generators(ch, params)
+    k = next(k for k, c in enumerate(checker.chars) if c.degree == 3)
+    a_mat, b_mat = monomial_generators(checker.chars[k], params)
     bad = b_mat.__class__(b_mat.modulus, b_mat.perm,
                           tuple((e + 1) % b_mat.modulus for e in b_mat.exps))
-    assert not checker._traces_match(ch, a_mat, bad)
+    assert not checker._traces_match(k, a_mat, bad)
