@@ -16,8 +16,13 @@ A = l p^(s-t) p^(C-n) (induced), and B = u p^(C-m), all mod p^C:
                  = 0                               otherwise.
 
 Value tables are therefore integer exponent tables, one arithmetic
-progression per row i = 0 mod d, and the orthogonality/trace sums reduce
-through the same canonical basis reduction that CyclotomicElement uses.
+progression per row i = 0 mod d. A row depends only on A i mod p^C, so the
+rows repeat with a period dividing p^n: each distinct row is built once and
+the table is one period of rows repeated. The orthogonality/trace sums
+reduce through the same canonical basis reduction that CyclotomicElement
+uses, and the class-function check compares each table, as one list, with
+itself read through a class-representative index (rep[g] = the first
+element of g's brute-force conjugacy class).
 The same (d, A, B) gives the monomial matrices: a -> diag(zeta^(r^c A))
 for c = 0..d-1, b -> the cyclic shift with zeta^(d B) in the last row.
 The deep checks tie this fast path to the exact slow one: the matrices
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import gcd
 
 from .arith import p_adic_valuation, unit_group_generator
 from .complex_reps import (
@@ -167,16 +173,22 @@ def monomial_form(ch: IrreducibleCharacter, params: GroupParams) -> tuple[int, i
 
 def value_table(ch: IrreducibleCharacter, params: GroupParams) -> list[int | None]:
     """Exponent table over all group elements, indexed by i * p^m + j: an
-    arithmetic progression along every row i = 0 mod d, None elsewhere."""
+    arithmetic progression along every row i = 0 mod d, None elsewhere.
+
+    Row i depends only on d and base = A i mod p^C, so the rows repeat with
+    period max(d, order of A in Z/p^C), which divides p^n (A p^n = 0 mod
+    p^C). Each distinct row is built once into one period of rows, and the
+    table is that block repeated p^n / period times (a new list)."""
     d, a_exp, b_exp = monomial_form(ch, params)
     qa, qb = params.p ** params.n, params.p ** params.m
     qc = params.p ** ambient_level(params)
+    period = max(d, qc // gcd(a_exp, qc))
     row = [b_exp * j % qc for j in range(0, qb, d)]
-    table: list[int | None] = [None] * (qa * qb)
-    for i in range(0, qa, d):
+    block: list[int | None] = [None] * (period * qb)
+    for i in range(0, period, d):
         base = a_exp * i % qc
-        table[i * qb:(i + 1) * qb:d] = [(base + e) % qc for e in row]
-    return table
+        block[i * qb:(i + 1) * qb:d] = [(base + e) % qc for e in row]
+    return block * (qa // period)
 
 
 def _monomial_as_element(params, degree: int, exponent: int | None) -> CyclotomicElement:
@@ -306,6 +318,17 @@ class DeepChecker:
             self._galois = galois_classes(self.chars, self.params)
         return self._galois
 
+    def class_rep_index(self) -> list[int]:
+        """rep[g] = flat index i * p^m + j of the first element of the
+        brute-force conjugacy class of the element with flat index g."""
+        qb = self.params.p ** self.params.m
+        rep = [0] * self.params.order
+        for cls in self.conj_classes:
+            first = cls[0].i * qb + cls[0].j
+            for g in cls:
+                rep[g.i * qb + g.j] = first
+        return rep
+
     # -- individual checks ------------------------------------------------
 
     def check_counts(self) -> CheckResult:
@@ -325,17 +348,20 @@ class DeepChecker:
         return CheckResult("counts", ok, detail)
 
     def check_class_functions(self) -> CheckResult:
-        """Characters are constant on brute-force conjugacy classes."""
+        """Characters are constant on brute-force conjugacy classes: a table
+        is a class function exactly when reading it through
+        `class_rep_index` leaves it unchanged. A failure names the first
+        element of the first class the table is not constant on."""
         qb = self.params.p ** self.params.m
+        rep = self.class_rep_index()
         for k in range(len(self.chars)):
             table = self.table(k)
-            for cls in self.conj_classes:
-                first = table[cls[0].i * qb + cls[0].j]
-                for g in cls[1:]:
-                    if table[g.i * qb + g.j] != first:
-                        return CheckResult(
-                            "class_functions", False, f"in class of {cls[0]}"
-                        )
+            if [table[r] for r in rep] != table:
+                first = min(r for g, r in enumerate(rep) if table[r] != table[g])
+                return CheckResult(
+                    "class_functions", False,
+                    f"in class of {GroupElement(*divmod(first, qb))}",
+                )
         return CheckResult(
             "class_functions", True,
             f"chars={len(self.chars)} classes={len(self.conj_classes)}",
@@ -413,13 +439,10 @@ class DeepChecker:
             image = sigma_on_character(self.chars[k], alpha, params)
             t_src = self.table(k)
             t_img = self.table(index[image])
-            for g in range(len(t_src)):
-                e = t_src[g]
-                expected = None if e is None else (e * alpha) % qc
-                if t_img[g] != expected:
-                    return CheckResult(
-                        "galois_action", False, f"char {k} alpha {alpha}"
-                    )
+            if [None if e is None else e * alpha % qc for e in t_src] != t_img:
+                return CheckResult(
+                    "galois_action", False, f"char {k} alpha {alpha}"
+                )
         return CheckResult("galois_action", True, f"pairs checked={len(work)}")
 
     def check_matrix_relations(self) -> CheckResult:

@@ -137,11 +137,67 @@ def test_matrix_relation_check_is_not_vacuous():
     params = validate(3, 3, 2, 4)
     checker = DeepChecker(params, rng=random.Random(0))
     assert checker.check_matrix_relations().ok
-    # a poisoned character table must break the trace comparison
+    # a poisoned b matrix, and separately a poisoned value table, must each
+    # break the trace comparison
     from metacyclic.verify import monomial_generators
 
     k = next(k for k, c in enumerate(checker.chars) if c.degree == 3)
     a_mat, b_mat = monomial_generators(checker.chars[k], params)
+    assert checker._traces_match(k, a_mat, b_mat)
     bad = b_mat.__class__(b_mat.modulus, b_mat.perm,
                           tuple((e + 1) % b_mat.modulus for e in b_mat.exps))
     assert not checker._traces_match(k, a_mat, bad)
+
+    qb, qc = params.p ** params.m, params.p ** ambient_level(params)
+    table = list(checker.table(k))
+    cell = 3 * qb + 3  # a^3 b^3: row and column = 0 mod d = 3
+    table[cell] = (table[cell] + 1) % qc
+    checker._tables[k] = table
+    assert not checker._traces_match(k, a_mat, b_mat)
+
+
+def _is_class_function(table, classes, qb):
+    """Reference: the per-class loop that the representative index replaced."""
+    for cls in classes:
+        first = table[cls[0].i * qb + cls[0].j]
+        if any(table[g.i * qb + g.j] != first for g in cls[1:]):
+            return False
+    return True
+
+
+def test_class_function_check_is_not_vacuous():
+    params = validate(3, 2, 1, 4)  # |G| = 27
+    qb = params.p ** params.m
+    checker = DeepChecker(params, rng=random.Random(0))
+    assert checker.check_class_functions().ok
+    k = 0  # the trivial character: a value in every cell
+    big = next(cls for cls in checker.conj_classes if len(cls) > 1)
+    central = [cls for cls in checker.conj_classes if len(cls) == 1][-1]
+    clean = list(checker.table(k))
+
+    for cls, ok in ((big, False), (central, True)):
+        table = list(clean)
+        g = cls[-1].i * qb + cls[-1].j
+        table[g] = (table[g] + 1) % 9
+        checker._tables[k] = table
+        result = checker.check_class_functions()
+        assert result.ok is ok
+        if not ok:
+            assert result.detail == f"in class of {cls[0]}"
+
+
+def test_class_rep_index_agrees_with_per_class_loop():
+    for params in (validate(3, 3, 2, 7), validate(5, 2, 1, 6)):
+        qb = params.p ** params.m
+        checker = DeepChecker(params, rng=random.Random(0))
+        classes, rep = checker.conj_classes, checker.class_rep_index()
+        tables = [checker.table(k) for k in range(len(checker.chars))]
+        for table in tables:
+            assert _is_class_function(table, classes, qb)
+            assert [table[r] for r in rep] == table
+        # one poisoned table: the last element of the largest class
+        poisoned = list(tables[0])
+        last = max(classes, key=len)[-1]
+        poisoned[last.i * qb + last.j] += 1
+        assert not _is_class_function(poisoned, classes, qb)
+        assert [poisoned[r] for r in rep] != poisoned
