@@ -6,7 +6,10 @@ Exit codes (stable contract for scripting):
   2  validation error (bad presentation parameters)
   3  verification mismatch
   4  size bound exceeded
-  5  internal inconsistency (an identity that must hold failed)
+  5  internal inconsistency (an identity that must hold failed), or any
+     other unexpected exception: one line "internal error: <Type>: <msg>"
+     on stderr instead of a traceback (KeyboardInterrupt and SystemExit
+     are not caught)
 
 Results go to stdout, diagnostics to stderr. Text output for `decompose`
 is a single line in the grammar
@@ -474,6 +477,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SIZE_BOUND
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a bug: one line and code 5, not a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

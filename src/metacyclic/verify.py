@@ -20,14 +20,25 @@ progression per row i = 0 mod d. A row depends only on A i mod p^C, so the
 rows repeat with a period dividing p^n: each distinct row is built once and
 the table is one period of rows repeated. The orthogonality/trace sums
 reduce through the same canonical basis reduction that CyclotomicElement
-uses, and the class-function check compares each table, as one list, with
-itself read through a class-representative index (rep[g] = the first
-element of g's brute-force conjugacy class).
+uses.
+
+`DeepChecker.class_index` is built once per group from the brute-force
+conjugacy classes: rep[g] = the first element of g's class, and one
+(first element, class size) pair per class. The class-function check
+compares each table, as one list, with itself read through rep. The two
+other checks that would walk all |G| cells read only the h = #Irr class
+representatives, and each reduction rests on checks that run before it:
+- orthogonality weights each representative by its class size, which is
+  the full sum over G because every table is a class function
+  (`check_class_functions`);
+- traces are compared on the representatives, which covers every element
+  because the matrices satisfy the presentation relations (so their trace
+  is a class function) and the table is a class function.
 The same (d, A, B) gives the monomial matrices: a -> diag(zeta^(r^c A))
 for c = 0..d-1, b -> the cyclic shift with zeta^(d B) in the last row.
 The deep checks tie this fast path to the exact slow one: the matrices
 must satisfy the presentation relations and reproduce the table as traces
-on every element, and the table must agree with `character_value` on
+on every class, and the table must agree with `character_value` on
 random elements.
 """
 
@@ -36,6 +47,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import gcd
+from operator import itemgetter
 
 from .arith import p_adic_valuation, unit_group_generator
 from .complex_reps import (
@@ -292,6 +304,7 @@ class DeepChecker:
         self._chars: list[IrreducibleCharacter] | None = None
         self._tables: dict[int, list[int | None]] = {}
         self._conj_classes = None
+        self._class_index: tuple[list[int], list[tuple[int, int]]] | None = None
         self._galois: list[GaloisClass] | None = None
 
     @property
@@ -318,16 +331,27 @@ class DeepChecker:
             self._galois = galois_classes(self.chars, self.params)
         return self._galois
 
+    @property
+    def class_index(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """(rep, reps), built in one pass over `conj_classes`: rep[g] is the
+        flat index i * p^m + j of the first element of the class of the
+        element with flat index g, and reps lists (that first index, class
+        size) once per class, in class order."""
+        if self._class_index is None:
+            qb = self.params.p ** self.params.m
+            rep = [0] * self.params.order
+            reps = []
+            for cls in self.conj_classes:
+                first = cls[0].i * qb + cls[0].j
+                reps.append((first, len(cls)))
+                for g in cls:
+                    rep[g.i * qb + g.j] = first
+            self._class_index = rep, reps
+        return self._class_index
+
     def class_rep_index(self) -> list[int]:
-        """rep[g] = flat index i * p^m + j of the first element of the
-        brute-force conjugacy class of the element with flat index g."""
-        qb = self.params.p ** self.params.m
-        rep = [0] * self.params.order
-        for cls in self.conj_classes:
-            first = cls[0].i * qb + cls[0].j
-            for g in cls:
-                rep[g.i * qb + g.j] = first
-        return rep
+        """rep[g] = flat index of the first element of g's conjugacy class."""
+        return self.class_index[0]
 
     # -- individual checks ------------------------------------------------
 
@@ -351,12 +375,16 @@ class DeepChecker:
         """Characters are constant on brute-force conjugacy classes: a table
         is a class function exactly when reading it through
         `class_rep_index` leaves it unchanged. A failure names the first
-        element of the first class the table is not constant on."""
+        element of the first class the table is not constant on.
+
+        The orthogonality and trace checks read tables on class
+        representatives only, which is exact because of this check."""
         qb = self.params.p ** self.params.m
         rep = self.class_rep_index()
+        gather = itemgetter(*rep)
         for k in range(len(self.chars)):
             table = self.table(k)
-            if [table[r] for r in rep] != table:
+            if list(gather(table)) != table:
                 first = min(r for g, r in enumerate(rep) if table[r] != table[g])
                 return CheckResult(
                     "class_functions", False,
@@ -367,32 +395,41 @@ class DeepChecker:
             f"chars={len(self.chars)} classes={len(self.conj_classes)}",
         )
 
-    def _pair_orthogonal(self, x: int, y: int) -> bool:
+    def _inner_product(self, x: int, y: int) -> list[int]:
+        """Reduced coefficients of sum_g psi_x(g) conj(psi_y(g)), summed as
+        sum_K |K| psi_x(g_K) conj(psi_y(g_K)) over one representative g_K
+        of every conjugacy class K: equal to the sum over all of G when
+        both tables are class functions."""
         params = self.params
         qc = params.p ** ambient_level(params)
         tx, ty = self.table(x), self.table(y)
         coeff = self.chars[x].degree * self.chars[y].degree
         acc = [0] * qc
-        for g in range(len(tx)):
+        for g, size in self.class_index[1]:
             e1 = tx[g]
             if e1 is None:
                 continue
             e2 = ty[g]
             if e2 is None:
                 continue
-            acc[(e1 - e2) % qc] += coeff
-        reduced = reduce_power_vector(params.p, ambient_level(params), acc)
-        expected0 = params.order if x == y else 0
-        if reduced[0] != expected0:
-            return False
-        return not any(reduced[1:])
+            acc[(e1 - e2) % qc] += coeff * size
+        return reduce_power_vector(params.p, ambient_level(params), acc)
+
+    def _pair_orthogonal(self, x: int, y: int) -> bool:
+        reduced = self._inner_product(x, y)
+        expected0 = self.params.order if x == y else 0
+        return reduced[0] == expected0 and not any(reduced[1:])
 
     def check_orthogonality(
         self, *, all_pairs_bound: int = 243, sample_pairs: int = 100
     ) -> CheckResult:
         """First orthogonality, exactly: sum_g psi(g) conj(psi'(g)) is |G|
         on the diagonal and 0 off it. All pairs for |G| <= all_pairs_bound,
-        else `sample_pairs` random pairs plus random diagonal entries."""
+        else `sample_pairs` random pairs plus random diagonal entries.
+
+        Each sum runs over class representatives weighted by class size,
+        so it relies on `check_class_functions`: a table that is not a
+        class function fails there, not here."""
         count = len(self.chars)
         checked = 0
         if self.params.order <= all_pairs_bound:
@@ -448,7 +485,8 @@ class DeepChecker:
     def check_matrix_relations(self) -> CheckResult:
         """For one sampled induced character per degree: the monomial
         matrices satisfy A^(p^n) = I, B^(p^m) = I, B A B^-1 = A^r, and their
-        traces match the value table on every group element."""
+        traces match the value table on every conjugacy class, hence on
+        every group element (see `_traces_match`)."""
         params = self.params
         p, n, m = params.p, params.n, params.m
         qc = p ** ambient_level(params)
@@ -471,41 +509,43 @@ class DeepChecker:
         return CheckResult("matrix_relations", True, f"degrees checked={checked}")
 
     def _traces_match(self, k: int, a_mat: MonomialMatrix, b_mat: MonomialMatrix) -> bool:
-        """tr(A^i B^j) == psi_k(a^i b^j) for every group element, read from
-        the cached value table of character k."""
+        """tr(A^i B^j) == psi_k(a^i b^j) on one element a^i b^j of every
+        conjugacy class, read from the cached value table of character k.
+        A is diagonal, so A^i has exponents i * exps.
+
+        Once A and B satisfy the presentation relations (checked first by
+        `check_matrix_relations`), a -> A, b -> B is a representation and
+        its trace is a class function; so is the table, by
+        `check_class_functions`. Equality on class representatives is then
+        equality on every element."""
         params = self.params
         p, level = params.p, ambient_level(params)
         qc = p ** level
-        qa, qb = p ** params.n, p ** params.m
+        qb = p ** params.m
         table, degree = self.table(k), self.chars[k].degree
         d = len(a_mat.perm)
         b_pows = [MonomialMatrix.identity(qc, d)]
         for _ in range(qb - 1):
             b_pows.append(b_pows[-1] * b_mat)
-        a_exps = [0] * d
-        for i in range(qa):
-            if i:
-                a_exps = [
-                    (a_exps[c] + a_mat.exps[c]) % qc for c in range(d)
-                ]
-            for j in range(qb):
-                expected = table[i * qb + j]
-                bj = b_pows[j]
-                if j % d:  # shift permutation: zero diagonal, zero trace
-                    if expected is not None:
-                        return False
-                    continue
-                vec = [0] * qc
-                for c in range(d):
-                    vec[(a_exps[c] + bj.exps[c]) % qc] += 1
-                reduced = reduce_power_vector(p, level, vec)
-                target = [0] * len(reduced)
+        for g, _ in self.class_index[1]:
+            i, j = divmod(g, qb)
+            expected = table[g]
+            if j % d:  # shift permutation: zero diagonal, zero trace
                 if expected is not None:
-                    tvec = [0] * qc
-                    tvec[expected] = degree
-                    target = reduce_power_vector(p, level, tvec)
-                if reduced != target:
                     return False
+                continue
+            bj = b_pows[j]
+            vec = [0] * qc
+            for c in range(d):
+                vec[(i * a_mat.exps[c] + bj.exps[c]) % qc] += 1
+            reduced = reduce_power_vector(p, level, vec)
+            target = [0] * len(reduced)
+            if expected is not None:
+                tvec = [0] * qc
+                tvec[expected] = degree
+                target = reduce_power_vector(p, level, tvec)
+            if reduced != target:
+                return False
         return True
 
     def check_value_function_agreement(self, samples: int = 50) -> CheckResult:

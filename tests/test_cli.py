@@ -5,6 +5,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 GOLDEN = {
@@ -247,3 +249,57 @@ def test_cli_import_starts_no_process_pool_machinery():
         capture_output=True, text=True, env=env,
     )
     assert proc.stdout.strip() == "False", proc.stderr
+
+
+# The whole `verify --deep` stderr report for one all-pairs group and one
+# sampled group (|G| = 729): the detail strings and the rng draw order of
+# the sampled checks are part of the output, and test_cli_contract.py pins
+# stdout only.
+DEEP_REPORTS = {
+    "verify --p 3 --n 2 --m 2 --r 4 --deep": (
+        "deep p=3 n=2 m=2 s=1 r=4 counts: OK classes=33 chars=33\n"
+        "deep p=3 n=2 m=2 s=1 r=4 class_functions: OK chars=33 classes=33\n"
+        "deep p=3 n=2 m=2 s=1 r=4 orthogonality: OK all pairs (561)\n"
+        "deep p=3 n=2 m=2 s=1 r=4 galois_action: OK pairs checked=198\n"
+        "deep p=3 n=2 m=2 s=1 r=4 matrix_relations: OK degrees checked=[3]\n"
+        "deep p=3 n=2 m=2 s=1 r=4 value_agreement: OK samples=50\n"
+        "deep p=3 n=2 m=2 s=1 r=4 rational_counts: OK degrees=[1, 2, 6]\n"
+        "deep p=3 n=2 m=2 s=1 r=4 decomposition: OK\n"
+    ),
+    "verify --p 3 --n 4 --m 2 --s 1 --deep": (
+        "deep p=3 n=4 m=2 s=1 r=28 counts: OK classes=297 chars=297\n"
+        "deep p=3 n=4 m=2 s=1 r=28 class_functions: OK chars=297 classes=297\n"
+        "deep p=3 n=4 m=2 s=1 r=28 orthogonality: OK sampled pairs (105)\n"
+        "deep p=3 n=4 m=2 s=1 r=28 galois_action: OK pairs checked=40\n"
+        "deep p=3 n=4 m=2 s=1 r=28 matrix_relations: OK degrees checked=[3]\n"
+        "deep p=3 n=4 m=2 s=1 r=28 value_agreement: OK samples=50\n"
+        "deep p=3 n=4 m=2 s=1 r=28 rational_counts: OK degrees=[1, 2, 6, 18, 54]\n"
+        "deep p=3 n=4 m=2 s=1 r=28 decomposition: OK\n"
+    ),
+}
+
+
+def test_verify_deep_report_pinned(capsys):
+    for argv, report in DEEP_REPORTS.items():
+        code, out, err = run_main(capsys, argv)
+        assert code == 0
+        assert out.startswith("VERIFIED ")
+        assert err == report
+
+
+def test_unexpected_exception_exits_5_without_traceback(capsys, monkeypatch):
+    from metacyclic import cli
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "decompose", boom)
+    code, out, err = run_main(capsys, "decompose --p 3 --n 4 --m 2 --r 10")
+    assert (code, out, err) == (5, "", "internal error: RuntimeError: boom\n")
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._COMMANDS, "decompose", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main("decompose --p 3 --n 4 --m 2 --r 10".split())

@@ -5,16 +5,18 @@ import pytest
 
 from metacyclic import verify
 from metacyclic.complex_reps import character_value, enumerate_irreducibles
-from metacyclic.cyclotomic import CyclotomicElement, galois_apply
+from metacyclic.cyclotomic import CyclotomicElement, galois_apply, reduce_power_vector
 from metacyclic.errors import SizeBoundError
 from metacyclic.group import GroupElement, from_s, validate
 from metacyclic.rational import SimpleComponent, WedderburnDecomposition
 from metacyclic.verify import (
     DeepChecker,
+    MonomialMatrix,
     ambient_level,
     cross_validate,
     decomposition_via_oracle,
     diff_components,
+    monomial_generators,
     valid_parameter_sets,
     value_table,
 )
@@ -201,3 +203,81 @@ def test_class_rep_index_agrees_with_per_class_loop():
         poisoned[last.i * qb + last.j] += 1
         assert not _is_class_function(poisoned, classes, qb)
         assert [poisoned[r] for r in rep] != poisoned
+
+
+def _full_inner_product(checker, x, y):
+    """Reference: the inner product summed over every cell of both tables."""
+    params = checker.params
+    level = ambient_level(params)
+    qc = params.p ** level
+    coeff = checker.chars[x].degree * checker.chars[y].degree
+    acc = [0] * qc
+    for e1, e2 in zip(checker.table(x), checker.table(y)):
+        if e1 is not None and e2 is not None:
+            acc[(e1 - e2) % qc] += coeff
+    return reduce_power_vector(params.p, level, acc)
+
+
+def _full_traces_match(checker, k, a_mat, b_mat):
+    """Reference: tr(A^i B^j) against the table on every group element,
+    with A^i built by repeated multiplication and the trace read off the
+    diagonal of the product."""
+    params = checker.params
+    level = ambient_level(params)
+    qc = params.p ** level
+    qa, qb = params.p ** params.n, params.p ** params.m
+    table, degree = checker.table(k), checker.chars[k].degree
+    a_pow = MonomialMatrix.identity(qc, len(a_mat.perm))
+    for i in range(qa):
+        b_pow = MonomialMatrix.identity(qc, len(b_mat.perm))
+        for j in range(qb):
+            prod = a_pow * b_pow
+            vec = [0] * qc
+            for c, target in enumerate(prod.perm):
+                if target == c:
+                    vec[prod.exps[c]] += 1
+            expected = [0] * qc
+            if table[i * qb + j] is not None:
+                expected[table[i * qb + j]] = degree
+            if (reduce_power_vector(params.p, level, vec)
+                    != reduce_power_vector(params.p, level, expected)):
+                return False
+            b_pow = b_pow * b_mat
+        a_pow = a_pow * a_mat
+    return True
+
+
+def test_class_representative_sums_match_full_group_walks():
+    for params in (validate(3, 3, 2, 7), validate(5, 2, 1, 6)):
+        checker = DeepChecker(params, rng=random.Random(0))
+        count = len(checker.chars)
+        for x in range(count):
+            for y in range(count):
+                assert checker._inner_product(x, y) == _full_inner_product(checker, x, y)
+        for degree in sorted({ch.degree for ch in checker.chars} - {1}):
+            pool = [k for k, ch in enumerate(checker.chars) if ch.degree == degree]
+            for k, other in zip(pool, pool[1:] + pool[:1]):
+                # its own matrices, and those of another character of the
+                # same degree: both satisfy the relations, only one matches
+                for source, verdict in ((k, True), (other, False)):
+                    a_mat, b_mat = monomial_generators(checker.chars[source], params)
+                    assert checker._traces_match(k, a_mat, b_mat) is verdict
+                    assert _full_traces_match(checker, k, a_mat, b_mat) is verdict
+
+
+def test_run_all_catches_every_single_cell_poisoning():
+    params = validate(3, 2, 1, 4)  # |G| = 27: all pairs, every Galois image
+    qc = params.p ** ambient_level(params)
+    checker = DeepChecker(params)
+    linear = next(k for k, ch in enumerate(checker.chars) if ch.degree == 1)
+    induced = next(k for k, ch in enumerate(checker.chars) if ch.degree > 1)
+    for k in (linear, induced):
+        clean = list(checker.table(k))
+        for g, e in enumerate(clean):
+            poisoned = list(clean)
+            poisoned[g] = 0 if e is None else (e + 1) % qc
+            checker._tables[k] = poisoned
+            checker.rng = random.Random(0)
+            failed = [res.name for res in checker.run_all() if not res.ok]
+            assert failed, (k, g)
+        checker._tables[k] = clean
