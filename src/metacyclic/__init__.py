@@ -6,103 +6,76 @@ enumerates the irreducible complex characters (little-group construction),
 groups them into Galois conjugacy classes, and assembles one simple
 component per class. All arithmetic is exact (big integers, rationals,
 prime-power cyclotomics); p = 2 is out of scope.
+
+Exports resolve lazily (PEP 562): `import metacyclic` runs no submodule
+(reach one with `import metacyclic.verify`), and a name imports its home
+module on first access. So closed-form use runs no oracle code: `decompose`,
+and `counts` and `sweep` without `--oracle`, execute only `cli`, `errors`,
+`arith`, `group`, `components` and `formulas` (see `cli` for the others).
 """
 
-from .arith import (
-    PrimePower,
-    euler_phi_prime_power,
-    multiplicative_order,
-    p_adic_valuation,
-    split_r,
-)
-from .complex_reps import (
-    InducedOrbit,
-    IrreducibleCharacter,
-    LinearOrbit,
-    character_value,
-    enumerate_irreducibles,
-    orbit_decomposition,
-)
-from .cyclotomic import CyclotomicElement, galois_apply, minimal_level, root_power
-from .errors import (
-    InternalInconsistencyError,
-    MetacyclicError,
-    SizeBoundError,
-    ValidationError,
-)
-from .formulas import (
-    abelian_class_count_identity,
-    abelian_closed_form,
-    complex_counts_closed_form,
-    rational_counts_closed_form,
-    wedderburn_closed_form,
-)
-from .group import (
-    GroupElement,
-    GroupParams,
-    conjugacy_classes,
-    derived_subgroup,
-    from_s,
-    identity,
-    inverse,
-    multiply,
-    validate,
-)
-from .rational import (
-    GaloisClass,
-    SimpleComponent,
-    WedderburnDecomposition,
-    character_field_level,
-    galois_classes,
-    rational_counts_from_classes,
-    wedderburn_from_classes,
-)
-from .verify import DeepChecker, cross_validate, decomposition_via_oracle
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PrimePower",
-    "euler_phi_prime_power",
-    "multiplicative_order",
-    "p_adic_valuation",
-    "split_r",
-    "CyclotomicElement",
-    "root_power",
-    "galois_apply",
-    "minimal_level",
-    "GroupElement",
-    "GroupParams",
-    "validate",
-    "from_s",
-    "identity",
-    "inverse",
-    "multiply",
-    "conjugacy_classes",
-    "derived_subgroup",
-    "LinearOrbit",
-    "InducedOrbit",
-    "IrreducibleCharacter",
-    "orbit_decomposition",
-    "enumerate_irreducibles",
-    "character_value",
-    "GaloisClass",
-    "SimpleComponent",
-    "WedderburnDecomposition",
-    "character_field_level",
-    "galois_classes",
-    "wedderburn_from_classes",
-    "rational_counts_from_classes",
-    "wedderburn_closed_form",
-    "abelian_closed_form",
-    "rational_counts_closed_form",
-    "complex_counts_closed_form",
-    "abelian_class_count_identity",
-    "cross_validate",
-    "decomposition_via_oracle",
-    "DeepChecker",
-    "MetacyclicError",
-    "ValidationError",
-    "SizeBoundError",
-    "InternalInconsistencyError",
-]
+# every public name -> the submodule that defines it
+_HOME = {
+    "PrimePower": "arith",
+    "euler_phi_prime_power": "arith",
+    "multiplicative_order": "arith",
+    "p_adic_valuation": "arith",
+    "split_r": "arith",
+    "CyclotomicElement": "cyclotomic",
+    "root_power": "cyclotomic",
+    "galois_apply": "cyclotomic",
+    "minimal_level": "cyclotomic",
+    "GroupElement": "group",
+    "GroupParams": "group",
+    "validate": "group",
+    "from_s": "group",
+    "identity": "group",
+    "inverse": "group",
+    "multiply": "group",
+    "conjugacy_classes": "group",
+    "derived_subgroup": "group",
+    "LinearOrbit": "complex_reps",
+    "InducedOrbit": "complex_reps",
+    "IrreducibleCharacter": "complex_reps",
+    "orbit_decomposition": "complex_reps",
+    "enumerate_irreducibles": "complex_reps",
+    "character_value": "complex_reps",
+    "GaloisClass": "rational",
+    "SimpleComponent": "components",
+    "WedderburnDecomposition": "components",
+    "character_field_level": "rational",
+    "galois_classes": "rational",
+    "wedderburn_from_classes": "rational",
+    "rational_counts_from_classes": "rational",
+    "wedderburn_closed_form": "formulas",
+    "abelian_closed_form": "formulas",
+    "rational_counts_closed_form": "formulas",
+    "complex_counts_closed_form": "formulas",
+    "abelian_class_count_identity": "formulas",
+    "cross_validate": "verify",
+    "decomposition_via_oracle": "verify",
+    "DeepChecker": "verify",
+    "MetacyclicError": "errors",
+    "ValidationError": "errors",
+    "SizeBoundError": "errors",
+    "InternalInconsistencyError": "errors",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

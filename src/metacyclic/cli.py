@@ -32,11 +32,21 @@ its first row. `verify --all` and `sweep` check p and `--max-order >= 1`
 even when no group fits, and `--max-order` without `--all` is a usage
 error. `sweep --threads N` needs N >= 1 and starts at most
 min(N, rows, CPUs) worker processes.
+
+Modules each command executes: `decompose`, and `counts` and `sweep`
+without `--oracle`, run only `cli`, `errors`, `arith`, `group`,
+`components` and `formulas`. The oracle modules `cyclotomic`,
+`complex_reps`, `rational` and `verify` are in sys.modules from the start
+but wait behind a LazyLoader until their first attribute access:
+`counts --kind complex --oracle` runs `complex_reps` and `cyclotomic`,
+`--kind rational --oracle` also `rational`, and `verify` and
+`sweep --oracle` run all four.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -44,7 +54,8 @@ import sys
 from dataclasses import dataclass
 from random import Random
 
-from .arith import phi_pk
+from .arith import check_odd_prime, phi_pk
+from .components import SimpleComponent, WedderburnDecomposition, assemble_components
 from .errors import (
     InternalInconsistencyError,
     SizeBoundError,
@@ -55,14 +66,40 @@ from .formulas import (
     rational_counts_closed_form,
     wedderburn_closed_form,
 )
-from .group import GroupParams, check_oracle_bound, from_s, validate
-from .rational import SimpleComponent, WedderburnDecomposition
-from .verify import (
-    DeepChecker,
-    cross_validate,
-    diff_components,
+from .group import (
+    GroupParams,
+    check_oracle_bound,
+    from_s,
     valid_parameter_sets,
+    validate,
 )
+
+
+def _lazy_module(name: str):
+    """`metacyclic.<name>`, registered in sys.modules with a LazyLoader
+    unless it is already imported: its code runs on the first attribute
+    access, so a command that never reads it never executes it."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+# The oracle: every oracle module is in sys.modules once `cli` is imported
+# (bench/traced_cli.py wraps functions there), but none executes until a
+# command reads one of its attributes. Commands read oracle functions as
+# module attributes at call time (`verify.cross_validate(...)`), so a
+# wrapper set on the module is the one called.
+_lazy_module("cyclotomic")  # executed by complex_reps, never read here
+complex_reps = _lazy_module("complex_reps")
+rational = _lazy_module("rational")
+verify = _lazy_module("verify")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,30 +129,44 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_decomposition(line: str, p: int) -> WedderburnDecomposition:
-    """Inverse of `format_decomposition` (used by round-trip tests)."""
-    from .rational import assemble_components
+def _exponent(text: str, p: int) -> int:
+    """e with int(text) = p^e, else ValidationError."""
+    value, exp = int(text), 0
+    while value > 1 and value % p == 0:
+        value //= p
+        exp += 1
+    if value != 1:
+        raise ValidationError(f"{text} is not a power of {p}")
+    return exp
 
+
+def parse_decomposition(line: str, p: int) -> WedderburnDecomposition:
+    """Inverse of `format_decomposition`: accepts exactly the lines it
+    prints (surrounding whitespace aside). Anything else raises
+    ValidationError, including terms that only spell a component another
+    way (`Q(z1)`, `M1(Q)`, `1*Q`, `0*Q`) and terms repeated or out of order.
+    """
+    check_odd_prime(p)
+    text = line.strip()
     items = []
-    for term in line.strip().split(" + "):
+    for term in text.split(" + "):
         match = _TERM_RE.match(term)
         if not match:
             raise ValidationError(f"unparseable term {term!r}")
         if bool(match.group("size")) != bool(match.group("close")):
             raise ValidationError(f"unbalanced parentheses in {term!r}")
-        mult = int(match.group("mult") or 1)
-        size = int(match.group("size") or 1)
-        zq = match.group("zq")
-        lam = 0
-        if zq is not None:
-            value = int(zq)
-            while value > 1:
-                if value % p:
-                    raise ValidationError(f"{zq} is not a power of {p}")
-                value //= p
-                lam += 1
+        try:
+            size = p ** _exponent(match.group("size") or "1", p)
+            lam = _exponent(match.group("zq") or "1", p)
+            mult = int(match.group("mult") or 1)
+        except ValueError as exc:  # also int()'s limit on the number of digits
+            raise ValidationError(f"bad number in {term!r}: {exc}") from None
         items.append((size, lam, mult))
-    return assemble_components(p, items)
+    dec = assemble_components(p, items)
+    canonical = format_decomposition(dec)
+    if canonical != text:
+        raise ValidationError(f"{text!r} is not canonical: it reads as {canonical!r}")
+    return dec
 
 
 @dataclass
@@ -298,9 +349,9 @@ def _corrupted(dec: WedderburnDecomposition) -> WedderburnDecomposition:
 
 
 def _verify_one(params: GroupParams, args) -> int:
-    result = cross_validate(params)
+    result = verify.cross_validate(params)
     closed = _corrupted(result.closed) if args.corrupt_hook else result.closed
-    diff = diff_components(closed, result.oracle)
+    diff = verify.diff_components(closed, result.oracle)
     if params.abelian:
         tag, size = f"abelian p={params.p} n={params.n} m={params.m}", ""
     else:
@@ -312,7 +363,7 @@ def _verify_one(params: GroupParams, args) -> int:
             print(f"  {line}")
         return EXIT_MISMATCH
     if args.deep:
-        checker = DeepChecker(params, rng=Random(args.seed))
+        checker = verify.DeepChecker(params, rng=Random(args.seed))
         failures = []
         for check in checker.run_all():
             status = "OK" if check.ok else "FAIL"
@@ -370,17 +421,14 @@ def _cmd_counts(args) -> int:
             for lam, c in counts.by_lambda.items()
         ]
     if args.oracle:
-        from .complex_reps import enumerate_irreducibles
-
-        chars = enumerate_irreducibles(params)
+        chars = complex_reps.enumerate_irreducibles(params)
         if args.kind == "complex":
             oracle: dict[int, int] = {}
             for ch in chars:
                 oracle[ch.degree] = oracle.get(ch.degree, 0) + 1
         else:
-            from .rational import galois_classes, rational_counts_from_classes
-
-            oracle = rational_counts_from_classes(galois_classes(chars, params), params)
+            classes = rational.galois_classes(chars, params)
+            oracle = rational.rational_counts_from_classes(classes, params)
         for row in rows:
             row["oracle"] = oracle.get(row["degree"], 0)
             if row["oracle"] != row["count"]:
@@ -417,7 +465,7 @@ def _sweep_row(task: tuple[int, int, int, int, bool]) -> dict:
         "dim_ok": dec.dimension() == params.order,
     }
     if oracle:
-        row["oracle_match"] = cross_validate(params).match
+        row["oracle_match"] = verify.cross_validate(params).match
     return row
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import check_odd_prime, phi_pk
+from .components import WedderburnDecomposition, assemble_components
 from .errors import InternalInconsistencyError, ValidationError
 from .group import GroupParams
-from .rational import WedderburnDecomposition, assemble_components
 
 
 def _abelian_items(p: int, hi: int, lo: int) -> list[tuple[int, int, int]]:

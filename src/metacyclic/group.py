@@ -1,7 +1,8 @@
 """The split metacyclic p-group <a, b | a^(p^n) = b^(p^m) = 1, b a b^-1 = a^r>.
 
-Validated presentation parameters, normal-form elements a^i b^j,
-multiplication, and brute-force conjugacy classes for oracle-side checks.
+Validated presentation parameters, the grid of every non-abelian (n, m, s)
+up to an order bound, normal-form elements a^i b^j, multiplication, and
+brute-force conjugacy classes for oracle-side checks.
 """
 
 from __future__ import annotations
@@ -129,6 +130,21 @@ def from_s(p: int, n: int, m: int, s: int) -> GroupParams:
         raise ValidationError(f"s must satisfy 1 <= s <= n-1, got s={s}, n={n}")
     _check_shape(p, n, m, False)  # before p^(n-s), which can be huge
     return validate(p, n, m, 1 + p ** (n - s))
+
+
+def valid_parameter_sets(p: int, max_order: int):
+    """All non-abelian (n, m, s) with p^(n+m) <= max_order, canonical r.
+    p is checked first, so a bad p is rejected even when no group fits."""
+    check_p(p)
+    nm = 3  # n >= 2, m >= 1
+    while p ** nm <= max_order:
+        for n in range(2, nm):
+            m = nm - n
+            if m < 1:
+                continue
+            for s in range(1, min(n - 1, m) + 1):
+                yield from_s(p, n, m, s)
+        nm += 1
 
 
 def check_oracle_bound(params: GroupParams) -> None:

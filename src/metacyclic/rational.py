@@ -29,6 +29,11 @@ from .complex_reps import (
     LinearOrbit,
     canonical_orbit_label,
 )
+from .components import (  # noqa: F401 (SimpleComponent is a re-export)
+    SimpleComponent,
+    WedderburnDecomposition,
+    assemble_components,
+)
 from .errors import InternalInconsistencyError, ValidationError
 from .group import GroupParams
 
@@ -45,54 +50,6 @@ class GaloisClass:
     members: tuple[IrreducibleCharacter, ...]
     size: int
     field_level: int
-
-
-@dataclass(frozen=True)
-class SimpleComponent:
-    """One summand M_q(Q(zeta_{p^lambda})): matrix_size q = p^t, center
-    level lambda (0 means Q), and its multiplicity in the decomposition."""
-
-    matrix_size: int
-    center_level: int
-    multiplicity: int
-
-
-@dataclass(frozen=True)
-class WedderburnDecomposition:
-    """Canonical multiset of simple components: merged by (matrix_size,
-    center_level) and sorted ascending, so equality is multiset equality."""
-
-    p: int
-    components: tuple[SimpleComponent, ...]
-
-    def dimension(self) -> int:
-        return sum(
-            c.multiplicity * c.matrix_size ** 2 * phi_pk(self.p, c.center_level)
-            for c in self.components
-        )
-
-    def as_multiset(self) -> dict[tuple[int, int], int]:
-        return {
-            (c.matrix_size, c.center_level): c.multiplicity
-            for c in self.components
-        }
-
-
-def assemble_components(p: int, items) -> WedderburnDecomposition:
-    """Merge raw (matrix_size, center_level, multiplicity) triples into the
-    canonical sorted component tuple."""
-    merged: dict[tuple[int, int], int] = {}
-    for q, lam, mult in items:
-        if mult < 0:
-            raise ValidationError("negative multiplicity")
-        if mult:
-            key = (q, lam)
-            merged[key] = merged.get(key, 0) + mult
-    comps = tuple(
-        SimpleComponent(q, lam, merged[(q, lam)])
-        for q, lam in sorted(merged)
-    )
-    return WedderburnDecomposition(p, comps)
 
 
 def character_field_level(ch: IrreducibleCharacter, params: GroupParams) -> int:

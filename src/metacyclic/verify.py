@@ -50,6 +50,7 @@ from math import gcd
 from operator import itemgetter
 
 from .arith import p_adic_valuation, unit_group_generator
+from .components import WedderburnDecomposition, assemble_components
 from .complex_reps import (
     IrreducibleCharacter,
     LinearOrbit,
@@ -66,34 +67,16 @@ from .group import (
     GroupElement,
     GroupParams,
     check_oracle_bound,
-    check_p,
     conjugacy_classes,
-    from_s,
+    valid_parameter_sets,  # re-exported; its home is `group`
 )
 from .rational import (
     GaloisClass,
-    WedderburnDecomposition,
-    assemble_components,
     galois_classes,
     rational_counts_from_classes,
     sigma_on_character,
     wedderburn_from_classes,
 )
-
-
-def valid_parameter_sets(p: int, max_order: int):
-    """All non-abelian (n, m, s) with p^(n+m) <= max_order, canonical r.
-    p is checked first, so a bad p is rejected even when no group fits."""
-    check_p(p)
-    nm = 3  # n >= 2, m >= 1
-    while p ** nm <= max_order:
-        for n in range(2, nm):
-            m = nm - n
-            if m < 1:
-                continue
-            for s in range(1, min(n - 1, m) + 1):
-                yield from_s(p, n, m, s)
-        nm += 1
 
 
 def decomposition_via_oracle(params: GroupParams) -> WedderburnDecomposition:

@@ -75,6 +75,24 @@ def test_text_grammar_round_trip():
     assert parse_decomposition(format_decomposition(dec), 3) == dec
 
 
+NON_CANONICAL = ("Q(z0)", "Q(z1)", "M1(Q)", "1*Q", "0*Q", "Q + Q", "4*Q(z3) + Q",
+                 "Q(z" + "9" * 5000 + ")")
+
+
+def test_parse_decomposition_accepts_only_canonical_lines():
+    from metacyclic.cli import format_decomposition, parse_decomposition
+    from metacyclic.errors import ValidationError
+
+    for (p, _, _, _), line in GOLDEN.items():
+        assert format_decomposition(parse_decomposition(line, p)) == line
+    for line in NON_CANONICAL:
+        with pytest.raises(ValidationError):
+            parse_decomposition(line, 3)
+    for p in (0, 1, 2, 9):  # without the check on p, p = 1 divides forever
+        with pytest.raises(ValidationError):
+            parse_decomposition("Q + 4*Q(z3)", p)
+
+
 def test_verify_command():
     proc = run_cli("verify", "--p", "3", "--n", "2", "--m", "3", "--r", "4")
     assert proc.returncode == 0
@@ -249,6 +267,97 @@ def test_cli_import_starts_no_process_pool_machinery():
         capture_output=True, text=True, env=env,
     )
     assert proc.stdout.strip() == "False", proc.stderr
+
+
+# Runs in a fresh interpreter: closed-form commands first, then the oracle
+# commands, reporting which oracle modules have executed after each phase.
+IMPORT_GRAPH_SCRIPT = r"""
+import contextlib, io, json, sys, types
+import metacyclic
+
+listed = set(metacyclic.__all__) <= set(dir(metacyclic))
+from metacyclic import cli
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv.split())
+    return [code, out.getvalue(), err.getvalue()]
+
+def state():
+    oracle = ("cyclotomic", "complex_reps", "rational", "verify")
+    return {
+        "executed": [name for name in oracle
+                     if type(sys.modules["metacyclic." + name]) is types.ModuleType],
+        "stdlib": [name for name in ("fractions", "cmath") if name in sys.modules],
+    }
+
+closed = [run(argv) for argv in json.loads(sys.argv[1])]
+after_closed = state()
+oracle = [run(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps({"listed": listed, "closed": closed, "after_closed": after_closed,
+                  "oracle": oracle, "after_oracle": state()}))
+"""
+
+CLOSED_FORM_COMMANDS = [
+    "decompose --p 3 --n 4 --m 2 --r 10",
+    "decompose --p 3 --n 2 --m 3 --s 1 --format json",
+    "counts --p 3 --n 4 --m 2 --r 10 --kind complex",
+    "counts --p 3 --n 4 --m 2 --r 10 --kind rational",
+    "sweep --p 3 --max-order 243",
+    "decompose --p 4 --n 2 --m 1 --r 3",
+]
+
+COUNTS_ORACLE = (
+    "counts --p 3 --n 4 --m 2 --r 10 --kind rational --oracle",
+    "lambda  degree  count  oracle\n"
+    "0       1       1      1     \n"
+    "1       2       4      4     \n"
+    "2       6       12     12    \n"
+    "3       18      3      3     \n"
+    "4       54      1      1     \n"
+    "total 21\n",
+)
+
+
+def test_closed_form_commands_execute_no_oracle_module():
+    deep = "verify --p 3 --n 2 --m 2 --r 4 --deep"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH_SCRIPT,
+         json.dumps(CLOSED_FORM_COMMANDS), json.dumps([deep, COUNTS_ORACLE[0]])],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["listed"]
+    assert [code for code, _, _ in doc["closed"]] == [0, 0, 0, 0, 0, 2]
+    assert doc["closed"][0][1] == GOLDEN[(3, 4, 2, 10)] + "\n"
+    assert doc["after_closed"] == {"executed": [], "stdlib": []}
+    (deep_code, deep_out, deep_err), counts = doc["oracle"]
+    assert (deep_code, deep_err) == (0, DEEP_REPORTS[deep])
+    assert deep_out.startswith("VERIFIED p=3 n=2 m=2 s=1 r=4 |G|=81: ")
+    assert counts == [0, COUNTS_ORACLE[1], ""]
+    assert doc["after_oracle"] == {
+        "executed": ["cyclotomic", "complex_reps", "rational", "verify"],
+        "stdlib": ["fractions", "cmath"],
+    }
+
+
+def test_star_import_binds_the_home_module_objects():
+    import importlib
+
+    import metacyclic
+
+    namespace = {}
+    exec("from metacyclic import *", namespace)
+    for name in metacyclic.__all__:
+        obj = namespace[name]
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    assert set(metacyclic.__all__) <= set(dir(metacyclic))
+    with pytest.raises(AttributeError):
+        metacyclic.no_such_name
 
 
 # The whole `verify --deep` stderr report for one all-pairs group and one
