@@ -21,17 +21,20 @@ with a "<mult>*" prefix when a component occurs more than once, e.g.
 document with keys p, n, m, r, s, k, order, canonical_r,
 components:[{q, lambda, mult}], complex_counts, rational_counts, provenance.
 
-`verify` runs one path for every group: both routes via `cross_validate`,
-one `diff_components`, then "VERIFIED <tag>: <decomposition>" (or the same
-JSON document with provenance "both (verified)") or "MISMATCH <tag>" plus
-one diff line per component. The tag is "p= n= m= s= r= |G|=" for
-non-abelian groups and "abelian p= n= m=" for abelian ones; `--deep` needs
-s >= 1. Size and primality bounds are checked before any expensive work,
-and `verify --all` checks the oracle bound on every group before printing
-its first row. `verify --all` and `sweep` check p and `--max-order >= 1`
-even when no group fits, and `--max-order` without `--all` is a usage
-error. `sweep --threads N` needs N >= 1 and starts at most
-min(N, rows, CPUs) worker processes.
+One closed form and one oracle serve every s, the abelian group
+(`--abelian` or `--s 0`) included. `verify` runs one path for every group:
+both routes via `cross_validate`, one `diff_components`, then
+"VERIFIED <tag>: <decomposition>" (or the same JSON document with
+provenance "both (verified)") or "MISMATCH <tag>" plus one diff line per
+component. The tag is "p= n= m= s= r= |G|=" for s >= 1 and
+"abelian p= n= m=" for s = 0. `--deep` needs s >= 1: on an abelian group
+its value tables would hold |G|^2 cells. Size and primality bounds are
+checked before any expensive work, and `verify --all` and `sweep --oracle`
+check the oracle bound on every group before their first row.
+`verify --all` and `sweep` check p and `--max-order >= 1` even when no
+group fits, and `--max-order` without `--all` is a usage error.
+`sweep --threads N` needs N >= 1 and starts at most min(N, rows, CPUs)
+worker processes.
 
 Modules each command executes: `decompose`, and `counts` and `sweep`
 without `--oracle`, run only `cli`, `errors`, `arith`, `group`,
@@ -223,21 +226,12 @@ class DecompositionReport:
 def build_report(
     params: GroupParams, dec: WedderburnDecomposition, provenance: str
 ) -> DecompositionReport:
-    if params.abelian:
-        complex_counts = {1: params.order}
-        rational_counts: dict[int, int] = {}
-        for c in dec.components:
-            degree = phi_pk(params.p, c.center_level)
-            rational_counts[degree] = rational_counts.get(degree, 0) + c.multiplicity
-    else:
-        complex_counts = complex_counts_closed_form(params)
-        rational_counts = rational_counts_closed_form(params).by_degree
     return DecompositionReport(
         p=params.p, n=params.n, m=params.m, r=params.r, s=params.s, k=params.k,
         order=params.order, canonical_r=params.canonical_r,
         components=dec.components,
-        complex_counts=complex_counts,
-        rational_counts=rational_counts,
+        complex_counts=complex_counts_closed_form(params),
+        rational_counts=rational_counts_closed_form(params).by_degree,
         provenance=provenance,
     )
 
@@ -383,19 +377,23 @@ def _verify_one(params: GroupParams, args) -> int:
     return EXIT_OK
 
 
-def _check_max_order(max_order: int) -> None:
-    if max_order < 1:
-        raise _UsageError(f"--max-order must be >= 1, got {max_order}")
+def _groups_up_to(args, oracle: bool) -> list[GroupParams]:
+    """Every valid group up to --max-order, after the checks on --max-order
+    and p, and with `oracle` on every group's oracle bound."""
+    if args.max_order < 1:
+        raise _UsageError(f"--max-order must be >= 1, got {args.max_order}")
+    groups = list(valid_parameter_sets(args.p, args.max_order))
+    if oracle:
+        for params in groups:
+            check_oracle_bound(params)
+    return groups
 
 
 def _cmd_verify(args) -> int:
     if args.all:
         if args.max_order is None:
             raise _UsageError("--all requires --max-order")
-        _check_max_order(args.max_order)
-        groups = list(valid_parameter_sets(args.p, args.max_order))
-        for params in groups:
-            check_oracle_bound(params)
+        groups = _groups_up_to(args, oracle=True)
         return max((_verify_one(params, args) for params in groups), default=EXIT_OK)
     if args.max_order is not None:
         raise _UsageError("--max-order needs --all")
@@ -472,11 +470,8 @@ def _sweep_row(task: tuple[int, int, int, int, bool]) -> dict:
 def _cmd_sweep(args) -> int:
     if args.threads < 1:
         raise _UsageError(f"--threads must be >= 1, got {args.threads}")
-    _check_max_order(args.max_order)
-    tasks = [
-        (q.p, q.n, q.m, q.s, args.oracle)
-        for q in valid_parameter_sets(args.p, args.max_order)
-    ]
+    groups = _groups_up_to(args, args.oracle)
+    tasks = [(q.p, q.n, q.m, q.s, args.oracle) for q in groups]
     workers = min(args.threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -1,11 +1,13 @@
-"""Irreducible complex characters of the non-abelian split metacyclic group.
+"""Irreducible complex characters of the split metacyclic group, for every s.
 
 The little-group construction specialised to N = <a> normal cyclic and
 H = <b>: the b-action on Irr(N) is chi_k -> chi_{rk}, its orbits are
 singletons {chi_{lam p^s}} plus orbits of size p^t indexed by a canonical
 unit label l, and each orbit together with a character omega^u of the
-inertia quotient yields one irreducible character of G. Characters are
-stored as parameter tuples with an exact value function, `character_value`.
+inertia quotient yields one irreducible character of G (at s = 0, the
+abelian group, all orbits are singletons and all characters linear).
+Characters are stored as parameter tuples with an exact value function,
+`character_value`.
 Value tables and explicit (monomial) matrices exist only inside the
 verification code, `verify.monomial_form` and `verify.monomial_generators`,
 which the deep checks compare against `character_value`.
@@ -18,18 +20,18 @@ from functools import lru_cache
 from typing import Union
 
 from .cyclotomic import CyclotomicElement, root_power
-from .errors import InternalInconsistencyError, ValidationError
+from .errors import InternalInconsistencyError
 from .group import GroupElement, GroupParams
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class LinearOrbit:
     """Singleton orbit {chi_{lam p^s}}, 0 <= lam < p^(n-s)."""
 
     lam: int
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class InducedOrbit:
     """Orbit {l r^i mod p^(n-s+t)} of size p^t with canonical label
     l mod p^(n-s): the orbit is the residue class of l mod p^(n-s), so the
@@ -42,7 +44,7 @@ class InducedOrbit:
 OrbitDescriptor = Union[LinearOrbit, InducedOrbit]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IrreducibleCharacter:
     """A parameterized irreducible character: orbit + exponent u of omega.
 
@@ -88,21 +90,14 @@ def canonical_orbit_label(params: GroupParams, t: int, l: int) -> int:
     return l % params.p ** (params.n - params.s)
 
 
-def _require_nonabelian(params: GroupParams) -> None:
-    if params.abelian:
-        raise ValidationError(
-            "abelian parameters have no induced orbits; use the abelian closed form"
-        )
-
-
 def orbit_decomposition(params: GroupParams) -> list[OrbitDescriptor]:
     """All orbits of the b-action on Irr(<a>), duplicate-free.
 
-    p^(n-s) singletons, then for each t = 1..s the phi(p^(n-s)) orbits of
-    size p^t labelled by the units below p^(n-s). The members of all orbits
-    must cover each chi-index 0..p^n-1 exactly once.
+    p^(n-s) singletons (p^n at s = 0), then for each t = 1..s the
+    phi(p^(n-s)) orbits of size p^t labelled by the units below p^(n-s).
+    The members of all orbits must cover each chi-index 0..p^n-1 exactly
+    once.
     """
-    _require_nonabelian(params)
     p, n, s = params.p, params.n, params.s
     orbits: list[OrbitDescriptor] = [LinearOrbit(lam) for lam in range(p ** (n - s))]
     units = [l for l in range(1, p ** (n - s)) if l % p]
@@ -133,21 +128,11 @@ def enumerate_irreducibles(params: GroupParams) -> list[IrreducibleCharacter]:
     degree p^t for each t = 1..s; the count and the degree-square identity
     sum(deg^2) = |G| are enforced before returning.
     """
-    _require_nonabelian(params)
     p, n, m, s = params.p, params.n, params.m, params.s
-    chars = [
-        IrreducibleCharacter(LinearOrbit(lam), u, 1)
-        for lam in range(p ** (n - s))
-        for u in range(p ** m)
-    ]
-    for orbit in orbit_decomposition(params):
-        if isinstance(orbit, LinearOrbit):
-            continue
-        deg = p ** orbit.t
-        chars.extend(
-            IrreducibleCharacter(orbit, u, deg)
-            for u in range(p ** (m - orbit.t))
-        )
+    chars: list[IrreducibleCharacter] = []
+    for orbit in orbit_decomposition(params):  # the linear orbits come first
+        t = orbit.t if isinstance(orbit, InducedOrbit) else 0
+        chars.extend(IrreducibleCharacter(orbit, u, p ** t) for u in range(p ** (m - t)))
     expected_total = p ** (n + m - s) + p ** (n + m - s - 1) - p ** (n + m - 2 * s - 1)
     if len(chars) != expected_total:
         raise InternalInconsistencyError(

@@ -172,9 +172,6 @@ class CyclotomicElement:
         coeffs = [self.coeffs[i * scale] for i in range(phi_pk(self.p, target))]
         return CyclotomicElement._make(self.p, target, coeffs)
 
-    def is_rational(self) -> bool:
-        return self.level == 0
-
     def approx_complex(self) -> complex:
         """Float embedding zeta -> exp(2 pi i / p^level); debugging only."""
         q = self.p ** self.level

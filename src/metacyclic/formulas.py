@@ -1,10 +1,11 @@
 """Closed-form combinatorial description of the decomposition and counts.
 
-Pure functions of (p, n, m, s): the decomposition of the rational group
-algebra in three branches, the abelian C_{p^n} x C_{p^m} case, per-degree
-counts of complex and rational irreducibles, and a totient partition
-identity used as a counting self-check. Empty summation ranges contribute
-nothing (Python range semantics make the degenerate bounds explicit).
+Pure functions of (p, n, m, s), the abelian s = 0 included: the
+decomposition of the rational group algebra in three branches, per-degree
+counts of complex and rational irreducibles, the abelian C_{p^n} x C_{p^m}
+decomposition stated on its own, and a totient partition identity used as
+a counting self-check. Empty summation ranges contribute nothing (Python
+range semantics make the degenerate bounds explicit).
 """
 
 from __future__ import annotations
@@ -31,13 +32,10 @@ def wedderburn_closed_form(params: GroupParams) -> WedderburnDecomposition:
 
     The commutative part is Q(G/G') with G/G' = C_{p^(n-s)} x C_{p^m}; the
     matrix components branch on n-s >= m, else on k = m-(n-s) <= s vs
-    k > s. Abelian parameters are routed to `abelian_closed_form`. The
+    k > s; at s = 0 only the items of `abelian_closed_form` remain. The
     dimension identity sum(mult * q^2 * phi(p^lambda)) = p^(n+m) is
     asserted on every output.
     """
-    if params.abelian:
-        hi, lo = max(params.n, params.m), min(params.n, params.m)
-        return abelian_closed_form(params.p, hi, lo)
     p, n, m, s = params.p, params.n, params.m, params.s
     w = n - s
     items = _abelian_items(p, max(w, m), min(w, m))
@@ -106,7 +104,8 @@ def _counts_from_lambda(p: int, by_lambda: dict[int, int]) -> RationalCounts:
 
 
 def rational_counts_closed_form(params: GroupParams) -> RationalCounts:
-    """Per-degree counts of rational irreducibles, non-abelian case.
+    """Per-degree counts of rational irreducibles, for every s (at s = 0 the
+    t-ranges are empty and the counts are those of the abelian group).
 
     Case (n-s >= m): 1 at lam=0; p^(lam-1)(p+1) for 1 <= lam <= m; p^m for
     m < lam <= n-s; p^(m-t) at lam = n-s+t for t = 1..s.
@@ -119,8 +118,6 @@ def rational_counts_closed_form(params: GroupParams) -> RationalCounts:
               2p^(n-s) + (t-1)phi(p^(n-s)) at lam = n-s+t for t <= s;
               p^(n-s) + s*phi(p^(n-s)) for n+1 <= lam <= m.
     """
-    if params.abelian:
-        raise ValidationError("abelian parameters: derive counts from abelian_closed_form")
     p, n, m, s = params.p, params.n, params.m, params.s
     w = n - s
     phi_w = phi_pk(p, w)
@@ -152,9 +149,8 @@ def rational_counts_closed_form(params: GroupParams) -> RationalCounts:
 
 def complex_counts_closed_form(params: GroupParams) -> dict[int, int]:
     """Table degree -> count of irreducible complex representations:
-    p^(n+m-s) of degree 1 and phi(p^(n-s)) p^(m-t) of degree p^t."""
-    if params.abelian:
-        raise ValidationError("abelian parameters: all p^(n+m) characters are linear")
+    p^(n+m-s) of degree 1 and phi(p^(n-s)) p^(m-t) of degree p^t (only
+    {1: p^(n+m)} at s = 0)."""
     p, n, m, s = params.p, params.n, params.m, params.s
     counts = {1: p ** (n + m - s)}
     for t in range(1, s + 1):

@@ -221,8 +221,8 @@ def conjugacy_classes(params: GroupParams) -> list[tuple[GroupElement, ...]]:
 
     Orbit closure under conjugation by the two generators only; on a finite
     set that already yields the orbits of the full group. The class count
-    is checked against the closed-form count of irreducible characters
-    (p^(n+m-s) + p^(n+m-s-1) - p^(n+m-2s-1) in the non-abelian case).
+    is checked against the closed-form count of irreducible characters,
+    p^(n+m-s) + p^(n+m-s-1) - p^(n+m-2s-1) (p^(n+m) at s = 0).
     Bounded by ORACLE_ORDER_BOUND.
     """
     check_oracle_bound(params)
@@ -249,9 +249,7 @@ def conjugacy_classes(params: GroupParams) -> list[tuple[GroupElement, ...]]:
             classes.append(tuple(sorted(orbit)))
     classes.sort(key=lambda cls: cls[0])
     p, e, s = params.p, params.n + params.m, params.s
-    expected = p ** e if params.abelian else (
-        p ** (e - s) + p ** (e - s - 1) - p ** (e - 2 * s - 1)
-    )
+    expected = p ** (e - s) + p ** (e - s - 1) - p ** (e - 2 * s - 1)
     if len(classes) != expected:
         raise InternalInconsistencyError(
             f"{len(classes)} conjugacy classes, expected {expected}"

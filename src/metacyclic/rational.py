@@ -101,7 +101,7 @@ def galois_classes(
     """
     if sum(ch.degree ** 2 for ch in chars) != params.order:
         raise ValidationError("character list is incomplete: sum(deg^2) != |G|")
-    pool = set(chars)
+    pool = {ch: ch for ch in chars}  # images resolve to the listed objects
     if len(pool) != len(chars):
         raise ValidationError("character list contains duplicates")
     level_c = max(params.n, params.m)
@@ -115,7 +115,8 @@ def galois_classes(
         orbit = [ch]
         image = sigma_on_character(ch, g, params)
         while image != ch:
-            if image not in pool:
+            member = pool.get(image)
+            if member is None:
                 raise InternalInconsistencyError(
                     "Galois image escapes the enumerated character list"
                 )
@@ -123,8 +124,8 @@ def galois_classes(
                 raise InternalInconsistencyError(
                     f"Galois walk from {ch} exceeds phi(p^{level_c}) steps"
                 )
-            orbit.append(image)
-            image = sigma_on_character(image, g, params)
+            orbit.append(member)
+            image = sigma_on_character(member, g, params)
         members = tuple(sorted(orbit, key=IrreducibleCharacter.key))
         seen.update(orbit)
         level = character_field_level(members[0], params)

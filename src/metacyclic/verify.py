@@ -1,7 +1,8 @@
 """Cross-validation between the closed form and the character-theoretic oracle.
 
-`cross_validate` runs both routes on one group, abelian or not, and
-`diff_components` is the one comparison of their component multisets.
+`cross_validate` runs both routes on one group of any s (s = 0 is the
+abelian group), and `diff_components` is the one comparison of their
+component multisets.
 Every oracle-side entry point (`decomposition_via_oracle`, `DeepChecker`)
 first passes `group.check_oracle_bound`, since the oracle enumerates Irr(G)
 and the deep checks walk all |G| elements.
@@ -49,8 +50,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from operator import itemgetter
 
-from .arith import p_adic_valuation, unit_group_generator
-from .components import WedderburnDecomposition, assemble_components
+from .components import WedderburnDecomposition
 from .complex_reps import (
     IrreducibleCharacter,
     LinearOrbit,
@@ -83,32 +83,9 @@ def decomposition_via_oracle(params: GroupParams) -> WedderburnDecomposition:
     """Decompose from first principles: enumerate Irr(G), class it under
     the Galois action, and assemble one component per class."""
     check_oracle_bound(params)
-    if params.abelian:
-        return _abelian_oracle(params)
     chars = enumerate_irreducibles(params)
     classes = galois_classes(chars, params)
     return wedderburn_from_classes(classes, params)
-
-
-def _abelian_oracle(params: GroupParams) -> WedderburnDecomposition:
-    """Galois-orbit brute force on the character grid of C_{p^n} x C_{p^m}."""
-    p, n, m = params.p, params.n, params.m
-    qa, qb = p ** n, p ** m
-    g = unit_group_generator(p, max(n, m))
-    seen = [False] * (qa * qb)
-    items = []
-    for i in range(qa):
-        for j in range(qb):
-            if seen[i * qb + j]:
-                continue
-            x, y = i, j
-            while not seen[x * qb + y]:
-                seen[x * qb + y] = True
-                x, y = g * x % qa, g * y % qb
-            li = 0 if i == 0 else n - p_adic_valuation(i, p)
-            lj = 0 if j == 0 else m - p_adic_valuation(j, p)
-            items.append((1, max(li, lj), 1))
-    return assemble_components(p, items)
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,18 @@ def test_verify_all_checks_oracle_bound_before_first_row(capsys):
     assert out.count("VERIFIED") == len(out.splitlines()) == groups
 
 
+def test_sweep_oracle_checks_oracle_bound_before_first_row(capsys, monkeypatch):
+    from metacyclic import verify
+
+    def never(params):
+        raise AssertionError(f"cross_validate ran on {params}")
+
+    monkeypatch.setattr(verify, "cross_validate", never)
+    code, out, err = run_main(capsys, "sweep --p 3 --max-order 100000 --oracle")
+    assert (code, out) == (4, "")
+    assert err == "size bound: |G| = 19683 exceeds the oracle bound 10000\n"
+
+
 def test_verify_abelian_json_and_deep(capsys):
     code, out, _ = run_main(capsys, "verify --p 3 --n 2 --m 2 --abelian --format json")
     assert code == 0

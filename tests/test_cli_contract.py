@@ -264,6 +264,19 @@ CONTRACT = [
             'm_ok": true, "oracle_match": true}\n'
         ),
     ),
+    # s = 0 is the abelian group: every complex irreducible is linear
+    ("counts --p 3 --n 2 --m 2 --s 0 --kind complex", 0, "degree  count\n1       81   \ntotal 81\n"),
+    (
+        "counts --p 3 --n 1 --m 2 --s 0 --kind rational --oracle",
+        0,
+        (
+            "lambda  degree  count  oracle\n"
+            "0       1       1      1     \n"
+            "1       2       4      4     \n"
+            "2       6       3      3     \n"
+            "total 8\n"
+        ),
+    ),
     ("decompose --p 3 --n 2", 1, ""),
     ("verify --p 3 --n 2", 1, ""),
     ("verify --p 3 --all", 1, ""),
@@ -273,7 +286,6 @@ CONTRACT = [
     ("decompose --p 2 --n 2 --m 1 --r 3", 2, ""),
     ("decompose --p 3 --n 2 --m 1 --r 2", 2, ""),
     ("decompose --p 3 --n 2 --m 1 --abelian --s 1", 2, ""),
-    ("counts --p 3 --n 2 --m 2 --s 0 --kind complex", 2, ""),
     ("verify --p 3 --n 9 --m 1 --s 1", 4, ""),
     ("decompose --p 3 --n 12 --m 5 --s 1", 4, ""),
     ("counts --p 3 --n 8 --m 2 --s 1 --kind complex --oracle", 4, ""),

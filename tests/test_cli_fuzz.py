@@ -1,12 +1,13 @@
 """Seeded fuzz of the CLI, run in process through `cli.main`.
 
 Valid parameter tuples (twists with k != 1 and unreduced r, `--s`, abelian
-groups) are mixed with malformed ones: tokens replaced by bad values,
-dropped, or joined by stray flags. Every exit code must be documented
-(0-5), stderr must never carry a traceback or an "internal error" line, and
-a `decompose` that succeeds must print a canonical decomposition of
-dimension |G|. The loop stops after CASES commands or BUDGET_S seconds,
-whichever comes first. `--threads` is never passed, so `sweep` keeps its
+groups by `--abelian` or `--s 0`) are mixed with malformed ones: tokens
+replaced by bad values, dropped, or joined by stray flags. Every exit code
+must be documented (0-5), stderr must never carry a traceback or an
+"internal error" line, a `decompose` that succeeds must print a canonical
+decomposition of dimension |G|, and a `counts --kind complex` that succeeds
+must print a table with sum(degree^2 * count) = |G|. The loop stops after
+CASES commands or BUDGET_S seconds, whichever comes first. `--threads` is never passed, so `sweep` keeps its
 single worker and the fuzz starts no process.
 """
 
@@ -27,13 +28,14 @@ STRAY_FLAGS = ("--abelian", "--oracle", "--all", "--r", "--s", "--bogus",
 
 
 def _group(rng: Random) -> tuple[int, int, int, list[str]]:
-    """(p, n, m, twist argv) of a valid group, abelian one time in six, or
-    one time in six an arbitrary r, which is mostly not a valid twist."""
+    """(p, n, m, twist argv) of a valid group, abelian one time in six
+    (`--abelian` or `--s 0`), or one time in six an arbitrary r, which is
+    mostly not a valid twist."""
     p = rng.choice(PRIMES)
     n, m = rng.randint(2, 5), rng.randint(1, 4)
     draw = rng.random()
     if draw < 1 / 6:
-        return p, n, m, ["--abelian"]
+        return p, n, m, rng.choice((["--abelian"], ["--s", "0"]))
     if draw < 2 / 6:
         return p, n, m, ["--r", str(rng.randint(-50, 500))]
     s = rng.randint(1, min(n - 1, m))
@@ -76,19 +78,37 @@ def _mutate(rng: Random, argv: list[str]) -> list[str]:
     return argv
 
 
-def _check_decompose(argv: list[str], out: str) -> None:
-    """The output, text or JSON, is a canonical decomposition of dimension
-    |G| = p^(n+m), read from the last --p/--n/--m values as argparse does."""
+def _group_of(argv: list[str]) -> tuple[int, int]:
+    """(p, |G| = p^(n+m)), read from the last --p/--n/--m values as
+    argparse does."""
     values = {flag: int(value) for flag, value in zip(argv, argv[1:])
               if flag in ("--p", "--n", "--m")}
     p = values["--p"]
-    order = p ** (values["--n"] + values["--m"])
+    return p, p ** (values["--n"] + values["--m"])
+
+
+def _check_decompose(argv: list[str], out: str) -> None:
+    """The output, text or JSON, is a canonical decomposition of dimension
+    |G|."""
+    p, order = _group_of(argv)
     if out.startswith("{"):
         doc = json.loads(out)
         assert (doc["p"], doc["order"]) == (p, order), argv
         report = cli.DecompositionReport.from_json_dict(doc)
         out = cli.format_decomposition(cli.WedderburnDecomposition(p, report.components))
     assert cli.parse_decomposition(out, p).dimension() == order, argv
+
+
+def _check_complex_counts(argv: list[str], out: str) -> None:
+    """The printed table, text or JSON, satisfies sum(degree^2 * count) = |G|."""
+    _, order = _group_of(argv)
+    if out.startswith("{"):
+        rows = [(row["degree"], row["count"]) for row in json.loads(out)["rows"]]
+    else:
+        lines = out.splitlines()
+        assert lines[0].split()[:2] == ["degree", "count"], argv
+        rows = [tuple(map(int, line.split()[:2])) for line in lines[1:-1]]
+    assert sum(degree ** 2 * count for degree, count in rows) == order, argv
 
 
 def test_cli_fuzz(capsys):
@@ -108,6 +128,9 @@ def test_cli_fuzz(capsys):
         assert "Traceback" not in err and "internal error" not in err, (argv, err)
         if code == 0 and argv[0] == "decompose":
             _check_decompose(argv, out)
+        kinds = [value for flag, value in zip(argv, argv[1:]) if flag == "--kind"]
+        if code == 0 and argv[0] == "counts" and kinds[-1] == "complex":
+            _check_complex_counts(argv, out)
         codes.append(code)
     assert len(codes) >= 50
     assert {0, 1, 2, 4} <= set(codes)

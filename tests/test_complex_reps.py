@@ -14,7 +14,7 @@ from metacyclic.complex_reps import (
     orbit_members,
 )
 from metacyclic.cyclotomic import CyclotomicElement, root_power
-from metacyclic.errors import InternalInconsistencyError, ValidationError
+from metacyclic.errors import InternalInconsistencyError
 from metacyclic.group import GroupElement, validate
 from metacyclic.verify import ambient_level, monomial_generators, valid_parameter_sets
 
@@ -92,9 +92,13 @@ def test_orbit_decomposition_rejects_bad_tiling(monkeypatch):
         orbit_decomposition(params)
 
 
-def test_orbit_decomposition_rejects_abelian():
-    with pytest.raises(ValidationError):
-        orbit_decomposition(validate(3, 2, 1, 1, abelian=True))
+def test_orbit_decomposition_at_s0_is_all_singletons():
+    # r = 1 fixes every character of <a>: p^n singleton orbits, no induced ones
+    for p, n, m in ((3, 2, 1), (5, 1, 2), (3, 3, 0)):
+        params = validate(p, n, m, 1, abelian=True)
+        orbits = orbit_decomposition(params)
+        assert orbits == [LinearOrbit(lam) for lam in range(p ** n)]
+        assert sorted(k for o in orbits for k in orbit_members(params, o)) == list(range(p ** n))
 
 
 def test_enumerate_counts():

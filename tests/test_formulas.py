@@ -169,9 +169,15 @@ def test_class_count_identity():
         abelian_class_count_identity(3, 1, 2)
 
 
-def test_counts_reject_abelian():
-    abelian = validate(3, 2, 2, 1, abelian=True)
-    with pytest.raises(ValidationError):
-        rational_counts_closed_form(abelian)
-    with pytest.raises(ValidationError):
-        complex_counts_closed_form(abelian)
+def test_counts_at_s0_are_abelian():
+    # s = 0 runs the general formulas: every complex irreducible is linear,
+    # and the rational counts are the degree counts of the abelian closed
+    # form (n < m, n = 0 and m = 0 included)
+    for p, n, m in ((3, 2, 2), (3, 1, 3), (5, 0, 2), (7, 2, 0), (3, 4, 1), (11, 0, 1)):
+        params = validate(p, n, m, 1, abelian=True)
+        assert complex_counts_closed_form(params) == {1: p ** (n + m)}
+        expected: dict[int, int] = {}
+        for c in abelian_closed_form(p, max(n, m), min(n, m)).components:
+            degree = phi_pk(p, c.center_level)
+            expected[degree] = expected.get(degree, 0) + c.multiplicity
+        assert rational_counts_closed_form(params).by_degree == expected

@@ -56,6 +56,41 @@ def test_abelian_oracle_route():
     assert result.closed.as_multiset() == {(1, 0): 1, (1, 1): 4, (1, 2): 12}
 
 
+def _abelian_groups():
+    """Every C_{p^n} x C_{p^m} with p in {3, 5, 7, 11} and |G| <= 10^4,
+    n < m, n = 0 and m = 0 included."""
+    for p in (3, 5, 7, 11):
+        for n in range(9):
+            for m in range(9):
+                if 1 <= n + m and p ** (n + m) <= 10 ** 4:
+                    yield validate(p, n, m, 1, abelian=True)
+
+
+def test_general_oracle_on_every_small_abelian_group():
+    # the s = 0 member of the family runs the general oracle, which must
+    # give the Perlis-Walker decomposition and the closed-form counts
+    from metacyclic.formulas import abelian_closed_form, rational_counts_closed_form
+    from metacyclic.rational import galois_classes, rational_counts_from_classes
+
+    groups = list(_abelian_groups())
+    assert len(groups) == 87
+    for params in groups:
+        p, n, m = params.p, params.n, params.m
+        assert decomposition_via_oracle(params) == abelian_closed_form(p, max(n, m), min(n, m))
+        classes = galois_classes(enumerate_irreducibles(params), params)
+        assert (
+            rational_counts_from_classes(classes, params)
+            == rational_counts_closed_form(params).by_degree
+        ), (p, n, m)
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 1, 0), (3, 2, 2), (5, 1, 1), (3, 0, 3), (7, 1, 1)])
+def test_deep_checks_pass_on_abelian_groups(p, n, m):
+    # |G| <= 243: orthogonality and the Galois action run exhaustively
+    results = DeepChecker(validate(p, n, m, 1, abelian=True)).run_all()
+    assert all(r.ok for r in results), [(r.name, r.detail) for r in results if not r.ok]
+
+
 def test_monomial_exponent_against_character_value():
     # every cell of every value table, the s = 2, k = 2 twist (3,3,2,7) included
     from metacyclic.cyclotomic import root_power
