@@ -38,8 +38,6 @@ _HOME = {
     "multiply": "group",
     "conjugacy_classes": "group",
     "derived_subgroup": "group",
-    "LinearOrbit": "complex_reps",
-    "InducedOrbit": "complex_reps",
     "IrreducibleCharacter": "complex_reps",
     "orbit_decomposition": "complex_reps",
     "enumerate_irreducibles": "complex_reps",

@@ -101,7 +101,7 @@ def validate(p: int, n: int, m: int, r: int, *, abelian: bool = False) -> GroupP
     scope, |G| = p^(n+m) above FORMULA_ORDER_BOUND, r not coprime to p, r
     whose order mod p^n is not a p-power, and s > m (the presentation would
     not define a group of order p^(n+m)). r is reduced mod p^n first.
-    r = 1 mod p^n is only allowed with abelian=True.
+    r = 1 mod p^n is only allowed with abelian=True, which stores r = 1.
     """
     _check_shape(p, n, m, abelian)
     q = p ** n
@@ -109,11 +109,11 @@ def validate(p: int, n: int, m: int, r: int, *, abelian: bool = False) -> GroupP
     if abelian:
         if r != 1 % q:
             raise ValidationError(f"abelian mode requires r = 1 mod p^n, got r={r}")
-        return GroupParams(p, n, m, 1 % q, 0, 0)
+        return GroupParams(p, n, m, 1, 0, 0)
     if gcd(r, p) != 1:
         raise ValidationError(f"r={r} is not coprime to p={p}")
     if r == 1:
-        raise ValidationError("r = 1 mod p^n: abelian presentation (pass abelian=True)")
+        raise ValidationError("r = 1 mod p^n is the abelian group: use s = 0")
     k, s = split_r(r, p, n)  # rejects r != 1 mod p, re-checks the order
     if s > m:
         raise ValidationError(

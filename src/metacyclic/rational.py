@@ -6,11 +6,11 @@ off each class's character field Q(zeta_{p^L}), and emit one matrix
 component M_{deg}(Q(zeta_{p^L})) per class (the relevant Schur indices are
 all 1 for odd p, which validation enforces by rejecting p = 2).
 
-The Galois action is computed on parameter tuples: sigma_alpha sends
-Induced(t, l, u) to Induced(t, canonical(alpha l), alpha u) and
-Linear(lam, u) to Linear(alpha lam, alpha u) - the latter is exactly the
-action on the character grid of G/G' = C_{p^(n-s)} x C_{p^m}; canonical
-is the residue l mod p^(n-s) (see `canonical_orbit_label`). The acting group
+The Galois action is computed on parameter tuples: sigma_alpha sends the
+character (t, l, u) to (t, canonical(alpha l), alpha u mod p^(m-t)), where
+canonical is the residue mod p^(n-s) (see `canonical_orbit_label`); at
+t = 0 this is the action on the character grid of
+G/G' = C_{p^(n-s)} x C_{p^m}. The acting group
 (Z/p^C)^* is cyclic for odd p, so one generator sigma_g reaches every
 conjugate: each class is walked as one cycle of sigma_g, one image per
 character. Agreement with the value-level action is checked at oracle scale
@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import p_adic_valuation, phi_pk, unit_group_generator
-from .complex_reps import (
-    InducedOrbit,
-    IrreducibleCharacter,
-    LinearOrbit,
-    canonical_orbit_label,
-)
+from .complex_reps import IrreducibleCharacter, canonical_orbit_label
 from .components import (  # noqa: F401 (SimpleComponent is a re-export)
     SimpleComponent,
     WedderburnDecomposition,
@@ -43,31 +38,39 @@ class GaloisClass:
     """An orbit of Irr(G) under the Galois action on character values.
 
     size = [Q(psi) : Q] = phi(p^field_level); the representative is the
-    lexicographically least parameter tuple.
+    least member in tuple order (members are sorted).
     """
 
-    representative: IrreducibleCharacter
     members: tuple[IrreducibleCharacter, ...]
-    size: int
     field_level: int
+
+    @property
+    def representative(self) -> IrreducibleCharacter:
+        return self.members[0]
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+
+def _exact_level(x: int, e: int, p: int) -> int:
+    """Level L with zeta_{p^e}^x of exact order p^L."""
+    x %= p ** e
+    return 0 if x == 0 else e - p_adic_valuation(x, p)
 
 
 def character_field_level(ch: IrreducibleCharacter, params: GroupParams) -> int:
     """Level L of the character field Q(psi) = Q(zeta_{p^L}).
 
-    Induced with omega of exact order p^lw: the values generate the field
-    of zeta_{p^(n-s)} and omega together, so L = max(n-s, lw). Linear: the
-    level of the corresponding character of C_{p^(n-s)} x C_{p^m}.
+    The values generate the field of zeta_{p^n}^(l p^s) = zeta_{p^(n-s)}^l
+    and omega = zeta_{p^(m-t)}^u together, so L is the larger of their
+    exact levels (n-s for a unit label l when t >= 1).
     """
     p = params.p
-    if isinstance(ch.orbit, LinearOrbit):
-        lam, u = ch.orbit.lam, ch.u
-        la = 0 if lam == 0 else (params.n - params.s) - p_adic_valuation(lam, p)
-        lb = 0 if u == 0 else params.m - p_adic_valuation(u, p)
-        return max(la, lb)
-    t = ch.orbit.t
-    lw = 0 if ch.u == 0 else (params.m - t) - p_adic_valuation(ch.u, p)
-    return max(params.n - params.s, lw)
+    return max(
+        _exact_level(ch.l, params.n - params.s, p),
+        _exact_level(ch.u, params.m - ch.t, p),
+    )
 
 
 def sigma_on_character(
@@ -77,14 +80,9 @@ def sigma_on_character(
     p = params.p
     if gcd(alpha, p) != 1:
         raise ValidationError(f"alpha={alpha} is divisible by p={p}")
-    if isinstance(ch.orbit, LinearOrbit):
-        lam = alpha * ch.orbit.lam % p ** (params.n - params.s)
-        u = alpha * ch.u % p ** params.m
-        return IrreducibleCharacter(LinearOrbit(lam), u, 1)
-    t = ch.orbit.t
-    label = canonical_orbit_label(params, t, alpha * ch.orbit.l % p ** (params.n - params.s + t))
-    u = alpha * ch.u % p ** (params.m - t)
-    return IrreducibleCharacter(InducedOrbit(t, label), u, ch.degree)
+    t = ch.t
+    label = canonical_orbit_label(params, t, alpha * ch.l)
+    return IrreducibleCharacter(t, label, alpha * ch.u % p ** (params.m - t), ch.degree)
 
 
 def galois_classes(
@@ -109,7 +107,7 @@ def galois_classes(
     max_steps = phi_pk(params.p, level_c)
     seen: set[IrreducibleCharacter] = set()
     classes: list[GaloisClass] = []
-    for ch in sorted(chars, key=IrreducibleCharacter.key):
+    for ch in sorted(chars):
         if ch in seen:
             continue
         orbit = [ch]
@@ -126,14 +124,14 @@ def galois_classes(
                 )
             orbit.append(member)
             image = sigma_on_character(member, g, params)
-        members = tuple(sorted(orbit, key=IrreducibleCharacter.key))
+        members = tuple(sorted(orbit))
         seen.update(orbit)
         level = character_field_level(members[0], params)
         if len(members) != phi_pk(params.p, level):
             raise InternalInconsistencyError(
                 f"class size {len(members)} != phi(p^{level})"
             )
-        classes.append(GaloisClass(members[0], members, len(members), level))
+        classes.append(GaloisClass(members, level))
     return classes
 
 

@@ -7,11 +7,9 @@ Every oracle-side entry point (`decomposition_via_oracle`, `DeepChecker`)
 first passes `group.check_oracle_bound`, since the oracle enumerates Irr(G)
 and the deep checks walk all |G| elements.
 
-Every irreducible psi has one monomial form (d, A, B), built by
-`monomial_form`, the only place that tells linear from induced characters.
-With C = max(n, m), d = 1 for a linear character and d = p^t for one
-induced from an orbit of size p^t, A = lam p^s p^(C-n) (linear) or
-A = l p^(s-t) p^(C-n) (induced), and B = u p^(C-m), all mod p^C:
+Every irreducible psi = (t, l, u) has one monomial form (d, A, B), built
+by `monomial_form`. With C = max(n, m), d = p^t, A = l p^(s-t) p^(C-n)
+and B = u p^(C-m), all mod p^C (t = 0, d = 1 are the linear characters):
 
     psi(a^i b^j) = deg * zeta_{p^C}^(A i + B j)   if d | i and d | j,
                  = 0                               otherwise.
@@ -51,12 +49,7 @@ from math import gcd
 from operator import itemgetter
 
 from .components import WedderburnDecomposition
-from .complex_reps import (
-    IrreducibleCharacter,
-    LinearOrbit,
-    character_value,
-    enumerate_irreducibles,
-)
+from .complex_reps import IrreducibleCharacter, character_value, enumerate_irreducibles
 from .cyclotomic import CyclotomicElement, reduce_power_vector, root_power
 from .formulas import (
     complex_counts_closed_form,
@@ -129,18 +122,13 @@ def ambient_level(params: GroupParams) -> int:
 
 def monomial_form(ch: IrreducibleCharacter, params: GroupParams) -> tuple[int, int, int]:
     """(d, A, B) with psi(a^i b^j) = deg * zeta_{p^C}^(A i + B j) when d
-    divides both i and j, and 0 otherwise.
-
-    Linear: d = 1, A = lam p^s p^(C-n). Induced of degree p^t: d = p^t,
-    A = l p^(s-t) p^(C-n). Both: B = u p^(C-m); all exponents mod p^C.
+    divides both i and j, and 0 otherwise: d = p^t, A = l p^(s-t) p^(C-n),
+    B = u p^(C-m), all exponents mod p^C.
     """
-    p, n, m, s = params.p, params.n, params.m, params.s
+    p, n, m = params.p, params.n, params.m
     qc = p ** ambient_level(params)
-    if isinstance(ch.orbit, LinearOrbit):
-        d, a_base = 1, ch.orbit.lam * p ** s
-    else:
-        d, a_base = p ** ch.orbit.t, ch.orbit.l * p ** (s - ch.orbit.t)
-    return d, a_base * (qc // p ** n) % qc, ch.u * (qc // p ** m) % qc
+    a_base = ch.l * p ** (params.s - ch.t)
+    return p ** ch.t, a_base * (qc // p ** n) % qc, ch.u * (qc // p ** m) % qc
 
 
 def value_table(ch: IrreducibleCharacter, params: GroupParams) -> list[int | None]:

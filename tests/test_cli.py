@@ -207,6 +207,19 @@ def test_sweep_oracle_checks_oracle_bound_before_first_row(capsys, monkeypatch):
     assert err == "size bound: |G| = 19683 exceeds the oracle bound 10000\n"
 
 
+def test_r_equal_to_one_points_to_s0(capsys):
+    # the message names s = 0, which the library (`from_s`) and every
+    # subcommand with group parameters (`--s 0`) accept
+    for argv in ("counts --p 3 --n 2 --m 1 --r 10 --kind complex",
+                 "decompose --p 3 --n 2 --m 1 --r 1",
+                 "verify --p 3 --n 2 --m 1 --r 10"):
+        code, out, err = run_main(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "validation error: r = 1 mod p^n is the abelian group: use s = 0\n"
+        code, _, _ = run_main(capsys, argv.replace("--r 10", "--s 0").replace("--r 1", "--s 0"))
+        assert code == 0
+
+
 def test_verify_abelian_json_and_deep(capsys):
     code, out, _ = run_main(capsys, "verify --p 3 --n 2 --m 2 --abelian --format json")
     assert code == 0

@@ -40,6 +40,17 @@ CONTRACT = [
             '"rational_counts": {"1": 1, "2": 4, "6": 12}, "provenance": "closed_form"}\n'
         ),
     ),
+    # r is stored as 1 in every abelian group, also at n = 0 (was "r": 0)
+    (
+        "decompose --p 3 --n 0 --m 1 --abelian --format json",
+        0,
+        (
+            '{"p": 3, "n": 0, "m": 1, "r": 1, "s": 0, "k": 0, "order": 3, "canonical_r": '
+            '1, "components": [{"q": 1, "lambda": 0, "mult": 1}, {"q": 1, "lambda": 1, "m'
+            'ult": 1}], "complex_counts": {"1": 3}, "rational_counts": {"1": 1, "2": 1}, '
+            '"provenance": "closed_form"}\n'
+        ),
+    ),
     (
         "decompose --p 5 --n 3 --m 2 --r 6",
         0,

@@ -4,8 +4,7 @@ import pytest
 
 from metacyclic import complex_reps
 from metacyclic.complex_reps import (
-    InducedOrbit,
-    LinearOrbit,
+    IrreducibleCharacter,
     _orbit_step_table,
     canonical_orbit_label,
     character_value,
@@ -47,25 +46,25 @@ def brute_force_orbits(params):
 def test_orbit_decomposition_counts():
     params = validate(3, 4, 2, 10)
     orbits = orbit_decomposition(params)
-    linear = [o for o in orbits if isinstance(o, LinearOrbit)]
+    linear = [o for o in orbits if o[0] == 0]
     by_t = {}
-    for o in orbits:
-        if isinstance(o, InducedOrbit):
-            by_t[o.t] = by_t.get(o.t, 0) + 1
+    for t, l in orbits:
+        if t >= 1:
+            by_t[t] = by_t.get(t, 0) + 1
     assert len(linear) == 9
     assert by_t == {1: 6, 2: 6}
     assert 9 + 6 * 3 + 6 * 9 == 81  # orbit sizes tile Irr(<a>)
 
     small = validate(3, 2, 1, 4)
     orbits = orbit_decomposition(small)
-    assert sum(isinstance(o, LinearOrbit) for o in orbits) == 3
-    assert sum(isinstance(o, InducedOrbit) for o in orbits) == 2
+    assert sum(t == 0 for t, l in orbits) == 3
+    assert sum(t >= 1 for t, l in orbits) == 2
 
 
 def test_orbits_match_direct_action():
     for params in (validate(3, 4, 2, 10), validate(3, 2, 1, 4), validate(5, 3, 2, 26)):
         direct = brute_force_orbits(params)
-        rebuilt = {frozenset(orbit_members(params, o)) for o in orbit_decomposition(params)}
+        rebuilt = {frozenset(orbit_members(params, *o)) for o in orbit_decomposition(params)}
         assert rebuilt == direct
 
 
@@ -87,7 +86,7 @@ def test_label_is_minimum_of_orbit():
 
 def test_orbit_decomposition_rejects_bad_tiling(monkeypatch):
     params = validate(3, 4, 2, 10)
-    monkeypatch.setattr(complex_reps, "orbit_members", lambda params, orbit: [0])
+    monkeypatch.setattr(complex_reps, "orbit_members", lambda params, t, l: [0])
     with pytest.raises(InternalInconsistencyError):
         orbit_decomposition(params)
 
@@ -97,8 +96,8 @@ def test_orbit_decomposition_at_s0_is_all_singletons():
     for p, n, m in ((3, 2, 1), (5, 1, 2), (3, 3, 0)):
         params = validate(p, n, m, 1, abelian=True)
         orbits = orbit_decomposition(params)
-        assert orbits == [LinearOrbit(lam) for lam in range(p ** n)]
-        assert sorted(k for o in orbits for k in orbit_members(params, o)) == list(range(p ** n))
+        assert orbits == [(0, lam) for lam in range(p ** n)]
+        assert sorted(k for o in orbits for k in orbit_members(params, *o)) == list(range(p ** n))
 
 
 def test_enumerate_counts():
@@ -117,6 +116,24 @@ def test_enumeration_is_duplicate_free():
     assert len(set(chars)) == len(chars) == 99
 
 
+def test_enumeration_is_the_documented_sorted_list():
+    # every (t, l, u, p^t): t = 0 over all l < p^(n-s), t >= 1 over the
+    # units l < p^(n-s), u < p^(m-t); `verify --deep` draws characters by
+    # index, so this order is part of its output
+    for params in (validate(3, 2, 1, 4), validate(3, 4, 2, 10), validate(5, 1, 2, 1, abelian=True)):
+        p, n, m, s = params.p, params.n, params.m, params.s
+        expected = [(0, l, u, 1) for l in range(p ** (n - s)) for u in range(p ** m)]
+        for t in range(1, s + 1):
+            expected += [
+                (t, l, u, p ** t)
+                for l in range(1, p ** (n - s)) if l % p
+                for u in range(p ** (m - t))
+            ]
+        chars = enumerate_irreducibles(params)
+        assert chars == sorted(expected), params
+        assert all(type(ch) is IrreducibleCharacter for ch in chars)
+
+
 def test_character_value_examples():
     params = validate(3, 2, 3, 4)
     nonlinear = [ch for ch in enumerate_irreducibles(params) if ch.degree == 3]
@@ -125,7 +142,7 @@ def test_character_value_examples():
         assert character_value(ch, GroupElement(0, 0), params) == 3
         assert character_value(ch, a, params) == 0
         # psi(a^(p^t)) = p^t * zeta^(l p^s)
-        t, l = ch.orbit.t, ch.orbit.l
+        t, l = ch.t, ch.l
         expected = (3 ** t) * root_power(3, 2, l * 3 ** params.s)
         assert character_value(ch, GroupElement(3 ** t, 0), params) == expected
 
@@ -135,7 +152,7 @@ def test_linear_character_values():
     linear = [ch for ch in enumerate_irreducibles(params) if ch.degree == 1]
     rng = random.Random(3)
     for ch in rng.sample(linear, 10):
-        lam, u = ch.orbit.lam, ch.u
+        lam, u = ch.l, ch.u
         for _ in range(5):
             i, j = rng.randrange(9), rng.randrange(27)
             expected = root_power(3, 2, lam * 3 * i) * root_power(3, 3, u * j)
@@ -220,7 +237,7 @@ def test_b_power_is_omega_identity():
     params = validate(3, 3, 3, 4)
     for ch in enumerate_irreducibles(params):
         d = ch.degree
-        t = 0 if ch.is_linear else ch.orbit.t
+        t = ch.t
         _, b_img = dense_generators(ch, params)
         power = dense_pow(b_img, d, 3)
         omega = root_power(3, params.m - t, ch.u)

@@ -6,7 +6,6 @@ import pytest
 from metacyclic import rational
 from metacyclic.complex_reps import (
     IrreducibleCharacter,
-    LinearOrbit,
     character_value,
     enumerate_irreducibles,
 )
@@ -42,7 +41,7 @@ def oracle_decomposition(params):
 
 
 def test_character_field_levels():
-    trivial = IrreducibleCharacter(LinearOrbit(0), 0, 1)
+    trivial = IrreducibleCharacter(0, 0, 0, 1)
     assert character_field_level(trivial, G1) == 0
     # G1 induced t=1 with omega of order 3 (= p^1 <= p^(n-s)): field Q(zeta_9)
     ch = next(
@@ -119,6 +118,27 @@ def test_parameter_action_matches_value_action_small():
                     assert lhs == character_value(image, g, params)
 
 
+def test_sigma_keeps_t_and_degree():
+    for params in (G1, G3, validate(5, 2, 1, 6), validate(3, 2, 2, 1, abelian=True)):
+        chars = enumerate_irreducibles(params)
+        listed = set(chars)
+        units = [a for a in range(1, params.p ** max(params.n, params.m)) if a % params.p]
+        for ch in chars:
+            for alpha in units:
+                image = sigma_on_character(ch, alpha, params)
+                assert (image.t, image.degree) == (ch.t, ch.degree)
+                assert image in listed
+
+
+def test_galois_class_stores_only_members_and_level():
+    from dataclasses import fields
+
+    assert [f.name for f in fields(GaloisClass)] == ["members", "field_level"]
+    for cls in galois_classes(enumerate_irreducibles(G3), G3):
+        assert cls.representative == cls.members[0] == min(cls.members)
+        assert cls.size == len(cls.members)
+
+
 def test_oracle_decompositions_match_frozen_goldens():
     assert oracle_decomposition(G1).as_multiset() == G1_COMPONENTS
     assert oracle_decomposition(G2).as_multiset() == G2_COMPONENTS
@@ -154,9 +174,7 @@ def test_nonlinear_class_counts_follow_the_two_cases():
         for t in range(1, s + 1):
             histogram = {}
             for cls in classes:
-                if cls.representative.degree == p ** t and not isinstance(
-                    cls.representative.orbit, LinearOrbit
-                ):
+                if cls.representative.degree == p ** t and cls.representative.t > 0:
                     histogram[cls.field_level] = histogram.get(cls.field_level, 0) + 1
             if n - s >= m - t:
                 expected = {n - s: p ** (m - t)}
@@ -199,14 +217,14 @@ def all_units_galois_classes(chars, params):
     p = params.p
     units = [a for a in range(1, p ** max(params.n, params.m)) if a % p]
     seen, classes = set(), []
-    for ch in sorted(chars, key=IrreducibleCharacter.key):
+    for ch in sorted(chars):
         if ch in seen:
             continue
         orbit = {sigma_on_character(ch, alpha, params) for alpha in units}
-        members = tuple(sorted(orbit, key=IrreducibleCharacter.key))
+        members = tuple(sorted(orbit))
         seen |= orbit
         level = character_field_level(members[0], params)
-        classes.append(GaloisClass(members[0], members, len(members), level))
+        classes.append(GaloisClass(members, level))
     return classes
 
 
@@ -220,7 +238,7 @@ def test_generator_walk_equals_all_units_classes():
 def test_broken_action_is_rejected_quickly(monkeypatch, escape):
     params = validate(3, 4, 2, 10)
     chars = enumerate_irreducibles(params)
-    outside = IrreducibleCharacter(LinearOrbit(-1), 0, 1)
+    outside = IrreducibleCharacter(0, -1, 0, 1)
 
     calls = []
 
