@@ -12,6 +12,11 @@ Exports resolve lazily (PEP 562): `import metacyclic` runs no submodule
 module on first access. So closed-form use runs no oracle code: `decompose`,
 and `counts` and `sweep` without `--oracle`, execute only `cli`, `errors`,
 `arith`, `group`, `components` and `formulas` (see `cli` for the others).
+
+Every record is a `typing.NamedTuple`: immutable, hashable, and equal to any
+tuple with the same fields, so records are compared only with their own
+type. The one exception is the number type `CyclotomicElement` (see
+`cyclotomic`), which the closed form never loads.
 """
 
 from importlib import import_module
@@ -20,8 +25,6 @@ __version__ = "0.1.0"
 
 # every public name -> the submodule that defines it
 _HOME = {
-    "PrimePower": "arith",
-    "euler_phi_prime_power": "arith",
     "multiplicative_order": "arith",
     "p_adic_valuation": "arith",
     "split_r": "arith",
@@ -37,7 +40,6 @@ _HOME = {
     "inverse": "group",
     "multiply": "group",
     "conjugacy_classes": "group",
-    "derived_subgroup": "group",
     "IrreducibleCharacter": "complex_reps",
     "orbit_decomposition": "complex_reps",
     "enumerate_irreducibles": "complex_reps",

@@ -6,7 +6,6 @@ cap sizes, so trial division is always fast enough.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -39,27 +38,6 @@ def phi_pk(p: int, exp: int) -> int:
     return p ** exp - p ** (exp - 1)
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    """p^exp for an odd prime p: the modulus/conductor type used throughout."""
-
-    p: int
-    exp: int
-
-    def __post_init__(self) -> None:
-        check_odd_prime(self.p)
-        if self.exp < 0:
-            raise ValidationError(f"exponent must be >= 0, got {self.exp}")
-
-    @property
-    def value(self) -> int:
-        return self.p ** self.exp
-
-
-def euler_phi_prime_power(q: PrimePower) -> int:
-    return phi_pk(q.p, q.exp)
-
-
 def p_adic_valuation(x: int, p: int) -> int:
     """w_p(x): the exact exponent of p in x. Undefined (rejected) for x = 0."""
     if x == 0:
@@ -84,19 +62,20 @@ def _divisors_sorted(x: int) -> list[int]:
     return sorted(out)
 
 
-def multiplicative_order(r: int, modulus: PrimePower) -> int:
-    """Least e >= 1 with r^e = 1 mod p^exp.
+def multiplicative_order(r: int, p: int, exp: int) -> int:
+    """Least e >= 1 with r^e = 1 mod p^exp, for an odd prime p and exp >= 1.
 
     Tries the divisors of phi(p^exp) in increasing order with exact modular
     exponentiation; r must be a unit.
     """
-    q = modulus.value
-    if q < 2:
-        raise ValidationError("modulus must be >= 2")
+    check_odd_prime(p)
+    if exp < 1:
+        raise ValidationError(f"exponent must be >= 1, got {exp}")
+    q = p ** exp
     r = r % q
-    if gcd(r, modulus.p) != 1:
-        raise ValidationError(f"r={r} is not coprime to p={modulus.p}")
-    for e in _divisors_sorted(euler_phi_prime_power(modulus)):
+    if gcd(r, p) != 1:
+        raise ValidationError(f"r={r} is not coprime to p={p}")
+    for e in _divisors_sorted(phi_pk(p, exp)):
         if pow(r, e, q) == 1:
             return e
     raise InternalInconsistencyError("unit order does not divide phi(p^n)")
@@ -147,7 +126,7 @@ def split_r(r: int, p: int, n: int) -> tuple[int, int]:
     k = d // p ** w
     if not (1 <= k < p ** s) or k % p == 0:
         raise InternalInconsistencyError(f"bad split r={r}: k={k}, s={s}")
-    if multiplicative_order(r, PrimePower(p, n)) != p ** s:
+    if multiplicative_order(r, p, n) != p ** s:
         raise InternalInconsistencyError(
             f"order of r={r} mod {p}^{n} is not p^{s}"
         )

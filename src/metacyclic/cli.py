@@ -32,7 +32,8 @@ its value tables would hold |G|^2 cells. Size and primality bounds are
 checked before any expensive work, and `verify --all` and `sweep --oracle`
 check the oracle bound on every group before their first row.
 `verify --all` and `sweep` check p and `--max-order >= 1` even when no
-group fits, and `--max-order` without `--all` is a usage error.
+group fits. `--max-order` without `--all` is a usage error, and so is
+`--all` beside a per-group flag (`--n`, `--m`, `--r`, `--s`, `--abelian`).
 `sweep --threads N` needs N >= 1 and starts at most min(N, rows, CPUs)
 worker processes.
 
@@ -54,11 +55,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from random import Random
 
 from .arith import check_odd_prime, phi_pk
-from .components import SimpleComponent, WedderburnDecomposition, assemble_components
+from .components import WedderburnDecomposition, assemble_components
 from .errors import (
     InternalInconsistencyError,
     SizeBoundError,
@@ -172,68 +172,25 @@ def parse_decomposition(line: str, p: int) -> WedderburnDecomposition:
     return dec
 
 
-@dataclass
-class DecompositionReport:
-    """Params echo + component list + per-degree counts, serializable."""
-
-    p: int
-    n: int
-    m: int
-    r: int
-    s: int
-    k: int
-    order: int
-    canonical_r: int
-    components: tuple[SimpleComponent, ...]
-    complex_counts: dict[int, int]
-    rational_counts: dict[int, int]
-    provenance: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "m": self.m,
-            "r": self.r,
-            "s": self.s,
-            "k": self.k,
-            "order": self.order,
-            "canonical_r": self.canonical_r,
-            "components": [
-                {"q": c.matrix_size, "lambda": c.center_level, "mult": c.multiplicity}
-                for c in self.components
-            ],
-            "complex_counts": {str(d): c for d, c in sorted(self.complex_counts.items())},
-            "rational_counts": {str(d): c for d, c in sorted(self.rational_counts.items())},
-            "provenance": self.provenance,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "DecompositionReport":
-        return cls(
-            p=doc["p"], n=doc["n"], m=doc["m"], r=doc["r"], s=doc["s"], k=doc["k"],
-            order=doc["order"], canonical_r=doc["canonical_r"],
-            components=tuple(
-                SimpleComponent(c["q"], c["lambda"], c["mult"])
-                for c in doc["components"]
-            ),
-            complex_counts={int(d): c for d, c in doc["complex_counts"].items()},
-            rational_counts={int(d): c for d, c in doc["rational_counts"].items()},
-            provenance=doc["provenance"],
-        )
-
-
 def build_report(
     params: GroupParams, dec: WedderburnDecomposition, provenance: str
-) -> DecompositionReport:
-    return DecompositionReport(
-        p=params.p, n=params.n, m=params.m, r=params.r, s=params.s, k=params.k,
-        order=params.order, canonical_r=params.canonical_r,
-        components=dec.components,
-        complex_counts=complex_counts_closed_form(params),
-        rational_counts=rational_counts_closed_form(params).by_degree,
-        provenance=provenance,
-    )
+) -> dict:
+    """The JSON document of a decomposition: the parameters, the components,
+    the closed-form per-degree counts and where the result came from."""
+    complex_counts = complex_counts_closed_form(params)
+    rational_counts = rational_counts_closed_form(params).by_degree
+    return {
+        **params._asdict(),
+        "order": params.order,
+        "canonical_r": params.canonical_r,
+        "components": [
+            {"q": c.matrix_size, "lambda": c.center_level, "mult": c.multiplicity}
+            for c in dec.components
+        ],
+        "complex_counts": {str(d): c for d, c in sorted(complex_counts.items())},
+        "rational_counts": {str(d): c for d, c in sorted(rational_counts.items())},
+        "provenance": provenance,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +277,8 @@ def _params_from_args(args) -> GroupParams:
 def _cmd_decompose(args) -> int:
     params = _params_from_args(args)
     dec = wedderburn_closed_form(params)
-    report = build_report(params, dec, "closed_form")
     if args.format == "json":
-        print(json.dumps(report.to_json_dict()))
+        print(json.dumps(build_report(params, dec, "closed_form")))
     else:
         print(format_decomposition(dec))
         print(
@@ -336,10 +292,8 @@ def _cmd_decompose(args) -> int:
 
 def _corrupted(dec: WedderburnDecomposition) -> WedderburnDecomposition:
     first = dec.components[0]
-    bumped = SimpleComponent(
-        first.matrix_size, first.center_level, first.multiplicity + 1
-    )
-    return WedderburnDecomposition(dec.p, (bumped,) + dec.components[1:])
+    bumped = first._replace(multiplicity=first.multiplicity + 1)
+    return dec._replace(components=(bumped,) + dec.components[1:])
 
 
 def _verify_one(params: GroupParams, args) -> int:
@@ -370,8 +324,7 @@ def _verify_one(params: GroupParams, args) -> int:
                   + ", ".join(c.name for c in failures))
             return EXIT_MISMATCH
     if args.format == "json":
-        report = build_report(params, closed, "both (verified)")
-        print(json.dumps(report.to_json_dict()))
+        print(json.dumps(build_report(params, closed, "both (verified)")))
     else:
         print(f"VERIFIED {tag}{size}: {format_decomposition(closed)}")
     return EXIT_OK
@@ -393,6 +346,10 @@ def _cmd_verify(args) -> int:
     if args.all:
         if args.max_order is None:
             raise _UsageError("--all requires --max-order")
+        if args.abelian or (args.n, args.m, args.r, args.s) != (None,) * 4:
+            raise _UsageError(
+                "--all sweeps every group: it takes no --n, --m, --r, --s or --abelian"
+            )
         groups = _groups_up_to(args, oracle=True)
         return max((_verify_one(params, args) for params in groups), default=EXIT_OK)
     if args.max_order is not None:

@@ -7,14 +7,13 @@ form never loads oracle code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import phi_pk
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class SimpleComponent:
+class SimpleComponent(NamedTuple):
     """One summand M_q(Q(zeta_{p^lambda})): matrix_size q = p^t, center
     level lambda (0 means Q), and its multiplicity in the decomposition."""
 
@@ -23,8 +22,7 @@ class SimpleComponent:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class WedderburnDecomposition:
+class WedderburnDecomposition(NamedTuple):
     """Canonical multiset of simple components: merged by (matrix_size,
     center_level) and sorted ascending, so equality is multiset equality."""
 

@@ -59,7 +59,9 @@ class CyclotomicElement:
     Instances are immutable and safe to share across threads. Equality
     coerces both operands to a common level first, so e.g.
     root_power(3, 2, 3) == root_power(3, 1, 1). Level-0 elements are
-    rationals and compare/combine with elements of any prime.
+    rationals and compare/combine with elements of any prime. A number type,
+    so a dataclass rather than a NamedTuple: it must not inherit tuple
+    order, len or iteration.
     """
 
     p: int
@@ -130,6 +132,14 @@ class CyclotomicElement:
         return other + (-self)
 
     def __mul__(self, other):
+        # a scalar: no product to reduce, and a nonzero one keeps the
+        # support, so the scaled coordinates are already canonical
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return CyclotomicElement._make(self.p, 0, [0])
+            return CyclotomicElement(
+                self.p, self.level, tuple(c * other if c else c for c in self.coeffs)
+            )
         other = _coerce(other, self.p)
         if other is NotImplemented:
             return NotImplemented

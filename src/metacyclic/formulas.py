@@ -10,7 +10,7 @@ range semantics make the degenerate bounds explicit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import check_odd_prime, phi_pk
 from .components import WedderburnDecomposition, assemble_components
@@ -79,8 +79,7 @@ def abelian_closed_form(p: int, n: int, m: int) -> WedderburnDecomposition:
     return decomposition
 
 
-@dataclass(frozen=True)
-class RationalCounts:
+class RationalCounts(NamedTuple):
     """Counts of inequivalent irreducible rational representations.
 
     by_lambda[lam] counts those of degree phi(p^lam) (the table the closed

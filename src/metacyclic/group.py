@@ -7,7 +7,6 @@ brute-force conjugacy classes for oracle-side checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
@@ -28,8 +27,7 @@ class GroupElement(NamedTuple):
     j: int
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class GroupParams(NamedTuple):
     """Validated presentation data (p, n, m, r) with derived (s, k).
 
     s is the exponent of the order of r mod p^n (order = p^s) and
@@ -256,41 +254,3 @@ def conjugacy_classes(params: GroupParams) -> list[tuple[GroupElement, ...]]:
         )
     return classes
 
-
-def _subgroup_closure(gens, params: GroupParams) -> set[GroupElement]:
-    members = {identity()}
-    frontier = [identity()]
-    gens = list(gens)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = multiply(x, g, params)
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return members
-
-
-def derived_subgroup(params: GroupParams) -> set[GroupElement]:
-    """Commutator subgroup by brute force: the normal closure of the
-    commutators of the generators (oracle-scale only)."""
-    check_oracle_bound(params)
-    a, b = GroupElement(1, 0), GroupElement(0, 1)
-    gens = set()
-    for x, y in ((a, b), (b, a)):
-        comm = multiply(
-            multiply(x, y, params),
-            multiply(inverse(x, params), inverse(y, params), params),
-            params,
-        )
-        gens.add(comm)
-    while True:
-        members = _subgroup_closure(gens, params)
-        new = {
-            conj(x, params)
-            for x in members
-            for conj in (_conj_by_a, _conj_by_b)
-        } - members
-        if not new:
-            return members
-        gens |= new

@@ -19,8 +19,8 @@ in verify.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .arith import p_adic_valuation, phi_pk, unit_group_generator
 from .complex_reps import IrreducibleCharacter, canonical_orbit_label
@@ -33,8 +33,7 @@ from .errors import InternalInconsistencyError, ValidationError
 from .group import GroupParams
 
 
-@dataclass(frozen=True)
-class GaloisClass:
+class GaloisClass(NamedTuple):
     """An orbit of Irr(G) under the Galois action on character values.
 
     size = [Q(psi) : Q] = phi(p^field_level); the representative is the

@@ -44,9 +44,9 @@ random elements.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from math import gcd
 from operator import itemgetter
+from typing import NamedTuple
 
 from .components import WedderburnDecomposition
 from .complex_reps import IrreducibleCharacter, character_value, enumerate_irreducibles
@@ -81,8 +81,7 @@ def decomposition_via_oracle(params: GroupParams) -> WedderburnDecomposition:
     return wedderburn_from_classes(classes, params)
 
 
-@dataclass(frozen=True)
-class CrossCheck:
+class CrossCheck(NamedTuple):
     params: GroupParams
     closed: WedderburnDecomposition
     oracle: WedderburnDecomposition
@@ -161,8 +160,7 @@ def _monomial_as_element(params, degree: int, exponent: int | None) -> Cyclotomi
 # monomial matrices (images of a and b under a character)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonomialMatrix:
+class MonomialMatrix(NamedTuple):
     """A matrix with a single root-of-unity entry per row: row c holds
     zeta_{p^C}^exps[c] at column perm[c]. Closed under multiplication, so
     relation checks stay O(degree)."""
@@ -231,24 +229,22 @@ def monomial_generators(
 # deep checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass
 class DeepChecker:
     """Caches the per-group state (characters, value tables, classes) that
     the individual checks share. All checks are exact; `detail` carries the
-    work counts so suite logs show what actually ran."""
+    work counts so suite logs show what actually ran. Sampled checks draw
+    from `rng`, Random(0) unless one is given."""
 
-    params: GroupParams
-    rng: random.Random = field(default_factory=lambda: random.Random(0))
-
-    def __post_init__(self):
-        check_oracle_bound(self.params)
+    def __init__(self, params: GroupParams, rng: random.Random | None = None):
+        check_oracle_bound(params)
+        self.params = params
+        self.rng = random.Random(0) if rng is None else rng
         self._chars: list[IrreducibleCharacter] | None = None
         self._tables: dict[int, list[int | None]] = {}
         self._conj_classes = None

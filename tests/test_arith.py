@@ -1,8 +1,6 @@
 import pytest
 
 from metacyclic.arith import (
-    PrimePower,
-    euler_phi_prime_power,
     multiplicative_order,
     p_adic_valuation,
     phi_pk,
@@ -22,20 +20,20 @@ def brute_order(r, q):
 
 
 def test_prime_power_validation():
-    assert PrimePower(3, 4).value == 81
-    assert PrimePower(3, 0).value == 1
+    assert multiplicative_order(1, 3, 1) == 1
+    assert multiplicative_order(2, 3, 1) == 2
     with pytest.raises(ValidationError):
-        PrimePower(2, 3)
+        multiplicative_order(1, 2, 3)
     with pytest.raises(ValidationError):
-        PrimePower(9, 1)
+        multiplicative_order(1, 9, 1)
     with pytest.raises(ValidationError):
-        PrimePower(5, -1)
+        multiplicative_order(1, 5, -1)
 
 
 def test_multiplicative_order_examples():
-    assert multiplicative_order(10, PrimePower(3, 4)) == 9
-    assert multiplicative_order(1, PrimePower(3, 4)) == 1
-    assert multiplicative_order(4, PrimePower(3, 3)) == 9
+    assert multiplicative_order(10, 3, 4) == 9
+    assert multiplicative_order(1, 3, 4) == 1
+    assert multiplicative_order(4, 3, 3) == 9
 
 
 def test_multiplicative_order_matches_brute_force():
@@ -44,14 +42,14 @@ def test_multiplicative_order_matches_brute_force():
         for r in range(1, q):
             if r % p == 0:
                 continue
-            assert multiplicative_order(r, PrimePower(p, n)) == brute_order(r, q)
+            assert multiplicative_order(r, p, n) == brute_order(r, q)
 
 
 def test_multiplicative_order_rejects_non_units():
     with pytest.raises(ValidationError):
-        multiplicative_order(6, PrimePower(3, 2))
+        multiplicative_order(6, 3, 2)
     with pytest.raises(ValidationError):
-        multiplicative_order(5, PrimePower(3, 0))  # modulus 1 < 2
+        multiplicative_order(5, 3, 0)  # modulus 1: exponent < 1
 
 
 def test_p_adic_valuation():
@@ -82,9 +80,9 @@ def test_valuation_of_power_minus_one():
 
 
 def test_euler_phi_prime_power():
-    assert euler_phi_prime_power(PrimePower(3, 0)) == 1
-    assert euler_phi_prime_power(PrimePower(3, 2)) == 6
-    assert euler_phi_prime_power(PrimePower(5, 3)) == 100
+    assert phi_pk(3, 0) == 1
+    assert phi_pk(3, 2) == 6
+    assert phi_pk(5, 3) == 100
 
 
 def test_split_r_examples():
@@ -124,14 +122,14 @@ def test_order_of_canonical_twists():
                     if k % p == 0:
                         continue
                     r = 1 + k * p ** (n - s)
-                    assert multiplicative_order(r, PrimePower(p, n)) == p ** s
+                    assert multiplicative_order(r, p, n) == p ** s
 
 
 def test_unit_group_generator_has_full_order():
     for p in (3, 5, 7, 11, 13):
         for exp in range(1, 7):
             g = unit_group_generator(p, exp)
-            assert multiplicative_order(g, PrimePower(p, exp)) == phi_pk(p, exp)
+            assert multiplicative_order(g, p, exp) == phi_pk(p, exp)
     with pytest.raises(ValidationError):
         unit_group_generator(9, 2)
 
@@ -144,7 +142,7 @@ def test_check_odd_prime_is_the_one_odd_prime_check():
     for p in (-3, 0, 1, 2, 9):
         for call in (
             lambda: check_odd_prime(p),
-            lambda: PrimePower(p, 1),
+            lambda: multiplicative_order(1, p, 1),
             lambda: unit_group_generator(p, 1),
             lambda: split_r(4, p, 2),
             lambda: abelian_closed_form(p, 1, 0),

@@ -48,16 +48,20 @@ def test_abelian_decompose():
 
 
 def test_json_round_trip():
-    from metacyclic.cli import DecompositionReport
+    from metacyclic.cli import format_decomposition
+    from metacyclic.components import assemble_components
 
     for p, n, m, r in GOLDEN:
-        proc = run_cli("decompose", "--p", str(p), "--n", str(n),
-                       "--m", str(m), "--r", str(r), "--format", "json")
-        assert proc.returncode == 0
+        shape = ("--p", str(p), "--n", str(n), "--m", str(m), "--r", str(r))
+        proc = run_cli("decompose", *shape, "--format", "json")
+        text = run_cli("decompose", *shape)
+        assert proc.returncode == text.returncode == 0
         doc = json.loads(proc.stdout)
-        report = DecompositionReport.from_json_dict(doc)
-        assert report.to_json_dict() == doc
-        assert json.loads(json.dumps(report.to_json_dict())) == doc
+        dec = assemble_components(
+            doc["p"], [(c["q"], c["lambda"], c["mult"]) for c in doc["components"]]
+        )
+        assert dec.dimension() == doc["order"]
+        assert format_decomposition(dec) + "\n" == text.stdout
 
 
 def test_text_grammar_round_trip():
@@ -314,7 +318,8 @@ def state():
     return {
         "executed": [name for name in oracle
                      if type(sys.modules["metacyclic." + name]) is types.ModuleType],
-        "stdlib": [name for name in ("fractions", "cmath") if name in sys.modules],
+        "stdlib": [name for name in ("fractions", "cmath", "dataclasses", "inspect")
+                   if name in sys.modules],
     }
 
 closed = [run(argv) for argv in json.loads(sys.argv[1])]
@@ -366,7 +371,7 @@ def test_closed_form_commands_execute_no_oracle_module():
     assert counts == [0, COUNTS_ORACLE[1], ""]
     assert doc["after_oracle"] == {
         "executed": ["cyclotomic", "complex_reps", "rational", "verify"],
-        "stdlib": ["fractions", "cmath"],
+        "stdlib": ["fractions", "cmath", "dataclasses", "inspect"],
     }
 
 

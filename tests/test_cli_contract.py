@@ -311,6 +311,9 @@ CONTRACT = [
     ("sweep --p 3 --max-order 0", 1, ""),
     ("sweep --p 3 --max-order -5", 1, ""),
     ("verify --p 3 --n 2 --m 2 --r 4 --max-order 5", 1, ""),
+    # --all sweeps every group, so a per-group flag beside it is a usage error
+    ("verify --p 3 --all --max-order 100 --abelian", 1, ""),
+    ("verify --p 3 --all --max-order 100 --n 2", 1, ""),
 ]
 
 

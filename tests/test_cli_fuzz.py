@@ -94,8 +94,9 @@ def _check_decompose(argv: list[str], out: str) -> None:
     if out.startswith("{"):
         doc = json.loads(out)
         assert (doc["p"], doc["order"]) == (p, order), argv
-        report = cli.DecompositionReport.from_json_dict(doc)
-        out = cli.format_decomposition(cli.WedderburnDecomposition(p, report.components))
+        out = cli.format_decomposition(cli.assemble_components(
+            p, [(c["q"], c["lambda"], c["mult"]) for c in doc["components"]]
+        ))
     assert cli.parse_decomposition(out, p).dimension() == order, argv
 
 

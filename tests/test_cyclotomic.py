@@ -59,6 +59,22 @@ def test_mixed_level_and_scalar_arithmetic():
     # rationals are prime-agnostic
     assert CyclotomicElement.rational(3, 7) == CyclotomicElement.rational(5, 7)
     assert CyclotomicElement.rational(5, 2) + root_power(3, 1, 1) == 2 + z3
+    # an int or Fraction scales the coefficients: the same canonical element
+    # as reducing the scaled raw vector
+    rng = random.Random(7)
+    for p in (3, 5):
+        for level in range(4):
+            vec = [rng.randint(-3, 3) for _ in range(p ** level)]
+            x = CyclotomicElement.from_power_vector(p, level, vec)
+            for c in (0, 1, -1, p ** 2, Fraction(-2, 7)):
+                general = CyclotomicElement.from_power_vector(
+                    p, level, [c * v for v in vec]
+                )
+                for product in (c * x, x * c):
+                    assert product == general
+                    assert (product.p, product.level, product.coeffs) == (
+                        general.p, general.level, general.coeffs
+                    )
 
 
 def test_ring_axioms_random():

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -10,7 +9,6 @@ from metacyclic.group import (
     check_oracle_bound,
     conjugacy_classes,
     conjugate,
-    derived_subgroup,
     from_s,
     identity,
     inverse,
@@ -74,7 +72,7 @@ def test_size_checks_run_first_but_keep_the_exit_order():
 def test_abelian_is_derived_from_s():
     assert from_s(3, 2, 2, 0).abelian
     assert not validate(3, 2, 1, 4).abelian
-    assert "abelian" not in {f.name for f in dataclasses.fields(GroupParams)}
+    assert "abelian" not in GroupParams._fields
 
 
 def test_oracle_bound_is_one_check():
@@ -82,7 +80,7 @@ def test_oracle_bound_is_one_check():
 
     check_oracle_bound(from_s(3, 7, 1, 1))  # 3^8 <= 10^4
     big = from_s(3, 8, 1, 1)  # 3^9 > 10^4
-    for call in (check_oracle_bound, conjugacy_classes, derived_subgroup,
+    for call in (check_oracle_bound, conjugacy_classes,
                  decomposition_via_oracle, cross_validate, DeepChecker):
         with pytest.raises(SizeBoundError) as exc:
             call(big)
@@ -163,32 +161,3 @@ def test_conjugacy_classes_partition_and_are_invariant():
 def test_conjugacy_size_bound():
     with pytest.raises(SizeBoundError):
         conjugacy_classes(from_s(3, 6, 4, 1))  # 3^10 > 10^4
-
-
-def test_derived_subgroup():
-    for params in (validate(3, 2, 2, 4), validate(3, 4, 2, 10), validate(5, 2, 1, 6)):
-        commutators = derived_subgroup(params)
-        step = params.p ** (params.n - params.s)
-        expected = {
-            GroupElement(i * step % params.p ** params.n, 0)
-            for i in range(params.p ** params.s)
-        }
-        assert commutators == expected
-        assert params.order // len(commutators) == params.p ** (
-            params.n + params.m - params.s
-        )
-
-
-def test_derived_subgroup_brute_force_small():
-    params = validate(3, 2, 2, 4)
-    elements = all_elements(params)
-    full_scan = set()
-    for g in elements:
-        for h in elements:
-            comm = multiply(
-                multiply(g, h, params),
-                multiply(inverse(g, params), inverse(h, params), params),
-                params,
-            )
-            full_scan.add(comm)
-    assert derived_subgroup(params) == full_scan
