@@ -14,12 +14,11 @@ which the deep checks compare against `character_value`.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .cyclotomic import CyclotomicElement, root_power
 from .errors import InternalInconsistencyError
-from .group import GroupElement, GroupParams
+from .group import GroupElement, GroupParams, _r_power_table
 
 
 class IrreducibleCharacter(NamedTuple):
@@ -33,16 +32,6 @@ class IrreducibleCharacter(NamedTuple):
     l: int
     u: int
     degree: int
-
-
-@lru_cache(maxsize=256)
-def _orbit_step_table(params: GroupParams, t: int) -> tuple[int, ...]:
-    """Powers r^i mod p^(n-s+t) for i = 0..p^t-1: one full orbit of steps."""
-    q = params.p ** (params.n - params.s + t)
-    table = [1] * (params.p ** t)
-    for i in range(1, len(table)):
-        table[i] = (table[i - 1] * params.r) % q
-    return tuple(table)
 
 
 def canonical_orbit_label(params: GroupParams, t: int, l: int) -> int:
@@ -83,10 +72,11 @@ def orbit_decomposition(params: GroupParams) -> list[tuple[int, int]]:
 
 def orbit_members(params: GroupParams, t: int, l: int) -> list[int]:
     """The chi-indices k (characters chi_k of <a>) making up orbit (t, l):
-    l p^(s-t) r^i mod p^n for i = 0..p^t-1."""
+    l p^(s-t) r^i mod p^n for i = 0..p^t-1 (p^t <= p^m, so the powers are
+    the head of `group._r_power_table`)."""
     q = params.p ** params.n
     shift = params.p ** (params.s - t)
-    return [l * step * shift % q for step in _orbit_step_table(params, t)]
+    return [l * step * shift % q for step in _r_power_table(params)[: params.p ** t]]
 
 
 def enumerate_irreducibles(params: GroupParams) -> list[IrreducibleCharacter]:
@@ -103,10 +93,9 @@ def enumerate_irreducibles(params: GroupParams) -> list[IrreducibleCharacter]:
         for t, l in orbit_decomposition(params)
         for u in range(p ** (m - t))
     ]
-    expected_total = p ** (n + m - s) + p ** (n + m - s - 1) - p ** (n + m - 2 * s - 1)
-    if len(chars) != expected_total:
+    if len(chars) != params.class_count:
         raise InternalInconsistencyError(
-            f"character count {len(chars)} != {expected_total}"
+            f"character count {len(chars)} != {params.class_count}"
         )
     if sum(ch.degree ** 2 for ch in chars) != params.order:
         raise InternalInconsistencyError("sum of degree^2 != |G|")

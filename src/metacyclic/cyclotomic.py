@@ -75,7 +75,9 @@ class CyclotomicElement:
         # trusted internal constructor: coeffs already has basis length
         if level > 0 and not any(coeffs[1:]):
             level, coeffs = 0, coeffs[:1]
-        return CyclotomicElement(p, level, tuple(Fraction(c) for c in coeffs))
+        return CyclotomicElement(
+            p, level, tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        )
 
     @classmethod
     def rational(cls, p: int, value) -> "CyclotomicElement":

@@ -154,8 +154,7 @@ def complex_counts_closed_form(params: GroupParams) -> dict[int, int]:
     counts = {1: p ** (n + m - s)}
     for t in range(1, s + 1):
         counts[p ** t] = phi_pk(p, n - s) * p ** (m - t)
-    expected_total = p ** (n + m - s) + p ** (n + m - s - 1) - p ** (n + m - 2 * s - 1)
-    if sum(counts.values()) != expected_total:
+    if sum(counts.values()) != params.class_count:
         raise InternalInconsistencyError("complex representation count mismatch")
     if sum(deg ** 2 * c for deg, c in counts.items()) != params.order:
         raise InternalInconsistencyError("sum of degree^2 != |G|")

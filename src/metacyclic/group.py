@@ -53,6 +53,14 @@ class GroupParams(NamedTuple):
         return self.p ** (self.n + self.m)
 
     @property
+    def class_count(self) -> int:
+        """#Irr(G) = number of conjugacy classes: p^(n+m-s) + p^(n+m-s-1)
+        - p^(n+m-2s-1) (p^(n+m) at s = 0). A guard for the routes that
+        count them, never a result."""
+        p, e, s = self.p, self.n + self.m, self.s
+        return p ** (e - s) + p ** (e - s - 1) - p ** (e - 2 * s - 1)
+
+    @property
     def canonical_r(self) -> int:
         """The representative twist 1 + p^(n-s): same group, same invariants."""
         if self.abelian:
@@ -219,9 +227,8 @@ def conjugacy_classes(params: GroupParams) -> list[tuple[GroupElement, ...]]:
 
     Orbit closure under conjugation by the two generators only; on a finite
     set that already yields the orbits of the full group. The class count
-    is checked against the closed-form count of irreducible characters,
-    p^(n+m-s) + p^(n+m-s-1) - p^(n+m-2s-1) (p^(n+m) at s = 0).
-    Bounded by ORACLE_ORDER_BOUND.
+    is checked against `GroupParams.class_count`. Bounded by
+    ORACLE_ORDER_BOUND.
     """
     check_oracle_bound(params)
     qa = params.p ** params.n
@@ -246,11 +253,9 @@ def conjugacy_classes(params: GroupParams) -> list[tuple[GroupElement, ...]]:
                         stack.append(y)
             classes.append(tuple(sorted(orbit)))
     classes.sort(key=lambda cls: cls[0])
-    p, e, s = params.p, params.n + params.m, params.s
-    expected = p ** (e - s) + p ** (e - s - 1) - p ** (e - 2 * s - 1)
-    if len(classes) != expected:
+    if len(classes) != params.class_count:
         raise InternalInconsistencyError(
-            f"{len(classes)} conjugacy classes, expected {expected}"
+            f"{len(classes)} conjugacy classes, expected {params.class_count}"
         )
     return classes
 

@@ -21,18 +21,20 @@ the table is one period of rows repeated. The orthogonality/trace sums
 reduce through the same canonical basis reduction that CyclotomicElement
 uses.
 
-`DeepChecker.class_index` is built once per group from the brute-force
-conjugacy classes: rep[g] = the first element of g's class, and one
-(first element, class size) pair per class. The class-function check
-compares each table, as one list, with itself read through rep. The two
-other checks that would walk all |G| cells read only the h = #Irr class
-representatives, and each reduction rests on checks that run before it:
+`DeepChecker` stores one value form per character, its row: the table's
+exponents on the h = #Irr class representatives, in class order, placed
+by `class_index` = (class_of, reps) from the brute-force conjugacy
+classes. Only `check_class_functions` builds full tables, one at a time:
+it keeps each table's row and checks that the row spread over class_of
+gives the table back. Every check after it reads rows only, which is
+exact because that check has shown every table to be a class function:
 - orthogonality weights each representative by its class size, which is
-  the full sum over G because every table is a class function
-  (`check_class_functions`);
+  the full sum over G;
+- the Galois action compares sigma-scaled rows;
 - traces are compared on the representatives, which covers every element
   because the matrices satisfy the presentation relations (so their trace
-  is a class function) and the table is a class function.
+  is a class function) and the table is a class function;
+- value agreement reads the row cell of each sampled element's class.
 The same (d, A, B) gives the monomial matrices: a -> diag(zeta^(r^c A))
 for c = 0..d-1, b -> the cyclic shift with zeta^(d B) in the last row.
 The deep checks tie this fast path to the exact slow one: the matrices
@@ -44,6 +46,7 @@ random elements.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
@@ -59,6 +62,7 @@ from .formulas import (
 from .group import (
     GroupElement,
     GroupParams,
+    _r_power_table,
     check_oracle_bound,
     conjugacy_classes,
     valid_parameter_sets,  # re-exported; its home is `group`
@@ -150,12 +154,6 @@ def value_table(ch: IrreducibleCharacter, params: GroupParams) -> list[int | Non
     return block * (qa // period)
 
 
-def _monomial_as_element(params, degree: int, exponent: int | None) -> CyclotomicElement:
-    if exponent is None:
-        return CyclotomicElement.rational(params.p, 0)
-    return degree * root_power(params.p, ambient_level(params), exponent)
-
-
 # ---------------------------------------------------------------------------
 # monomial matrices (images of a and b under a character)
 # ---------------------------------------------------------------------------
@@ -216,10 +214,8 @@ def monomial_generators(
     zeta^(d B) in the last row; for d = 1 the 1x1 matrices (zeta^A), (zeta^B)."""
     d, a_exp, b_exp = monomial_form(ch, params)
     qc = params.p ** ambient_level(params)
-    a_exps = [a_exp]
-    for _ in range(d - 1):
-        a_exps.append(a_exps[-1] * params.r % qc)
-    a_mat = MonomialMatrix(qc, tuple(range(d)), tuple(a_exps))
+    a_exps = tuple(a_exp * rc % qc for rc in _r_power_table(params)[:d])
+    a_mat = MonomialMatrix(qc, tuple(range(d)), a_exps)
     b_perm = tuple((c + 1) % d for c in range(d))
     b_mat = MonomialMatrix(qc, b_perm, (0,) * (d - 1) + (d * b_exp % qc,))
     return a_mat, b_mat
@@ -229,6 +225,14 @@ def monomial_generators(
 # deep checks
 # ---------------------------------------------------------------------------
 
+# Sampling sizes of the deep checks: orthogonality and the Galois action
+# run exhaustively up to EXHAUSTIVE_ORDER_BOUND and on random draws above it.
+EXHAUSTIVE_ORDER_BOUND = 243
+ORTHOGONALITY_PAIRS = 100
+GALOIS_SAMPLES = 40
+VALUE_SAMPLES = 50
+
+
 class CheckResult(NamedTuple):
     name: str
     ok: bool
@@ -236,8 +240,8 @@ class CheckResult(NamedTuple):
 
 
 class DeepChecker:
-    """Caches the per-group state (characters, value tables, classes) that
-    the individual checks share. All checks are exact; `detail` carries the
+    """Caches the per-group state (characters, classes, rows) that the
+    individual checks share. All checks are exact; `detail` carries the
     work counts so suite logs show what actually ran. Sampled checks draw
     from `rng`, Random(0) unless one is given."""
 
@@ -245,57 +249,43 @@ class DeepChecker:
         check_oracle_bound(params)
         self.params = params
         self.rng = random.Random(0) if rng is None else rng
-        self._chars: list[IrreducibleCharacter] | None = None
-        self._tables: dict[int, list[int | None]] = {}
-        self._conj_classes = None
-        self._class_index: tuple[list[int], list[tuple[int, int]]] | None = None
-        self._galois: list[GaloisClass] | None = None
+        self._rows: dict[int, list[int | None]] = {}
 
-    @property
+    @cached_property
     def chars(self) -> list[IrreducibleCharacter]:
-        if self._chars is None:
-            self._chars = enumerate_irreducibles(self.params)
-        return self._chars
+        return enumerate_irreducibles(self.params)
 
-    def table(self, k: int) -> list[int | None]:
-        """Value table of the k-th character, built on first use."""
-        if k not in self._tables:
-            self._tables[k] = value_table(self.chars[k], self.params)
-        return self._tables[k]
+    @cached_property
+    def conj_classes(self) -> list[tuple[GroupElement, ...]]:
+        return conjugacy_classes(self.params)
 
-    @property
-    def conj_classes(self):
-        if self._conj_classes is None:
-            self._conj_classes = conjugacy_classes(self.params)
-        return self._conj_classes
-
-    @property
+    @cached_property
     def galois(self) -> list[GaloisClass]:
-        if self._galois is None:
-            self._galois = galois_classes(self.chars, self.params)
-        return self._galois
+        return galois_classes(self.chars, self.params)
 
-    @property
+    @cached_property
     def class_index(self) -> tuple[list[int], list[tuple[int, int]]]:
-        """(rep, reps), built in one pass over `conj_classes`: rep[g] is the
-        flat index i * p^m + j of the first element of the class of the
-        element with flat index g, and reps lists (that first index, class
-        size) once per class, in class order."""
-        if self._class_index is None:
-            qb = self.params.p ** self.params.m
-            rep = [0] * self.params.order
-            reps = []
-            for cls in self.conj_classes:
-                first = cls[0].i * qb + cls[0].j
-                reps.append((first, len(cls)))
-                for g in cls:
-                    rep[g.i * qb + g.j] = first
-            self._class_index = rep, reps
-        return self._class_index
+        """(class_of, reps), built in one pass over `conj_classes`:
+        class_of[g] is the position of the class of the element with flat
+        index g = i * p^m + j, and reps lists (flat index of the class's
+        first element, class size) once per class, in class order."""
+        qb = self.params.p ** self.params.m
+        class_of = [0] * self.params.order
+        reps = []
+        for c, cls in enumerate(self.conj_classes):
+            reps.append((cls[0].i * qb + cls[0].j, len(cls)))
+            for g in cls:
+                class_of[g.i * qb + g.j] = c
+        return class_of, reps
 
-    def class_rep_index(self) -> list[int]:
-        """rep[g] = flat index of the first element of g's conjugacy class."""
-        return self.class_index[0]
+    def row(self, k: int) -> list[int | None]:
+        """Character k's row: its value-table exponents on the class
+        representatives, in class order. Built on first use from one
+        `value_table`, of which only the h representative cells are kept."""
+        if k not in self._rows:
+            table = value_table(self.chars[k], self.params)
+            self._rows[k] = [table[g] for g, _ in self.class_index[1]]
+        return self._rows[k]
 
     # -- individual checks ------------------------------------------------
 
@@ -317,22 +307,22 @@ class DeepChecker:
 
     def check_class_functions(self) -> CheckResult:
         """Characters are constant on brute-force conjugacy classes: a table
-        is a class function exactly when reading it through
-        `class_rep_index` leaves it unchanged. A failure names the first
-        element of the first class the table is not constant on.
+        is a class function exactly when its row, spread over `class_of`,
+        gives the table back. The only place a full table exists, one at a
+        time; each table's row is kept. A failure names the first element
+        of the first class the table is not constant on.
 
-        The orthogonality and trace checks read tables on class
-        representatives only, which is exact because of this check."""
-        qb = self.params.p ** self.params.m
-        rep = self.class_rep_index()
-        gather = itemgetter(*rep)
-        for k in range(len(self.chars)):
-            table = self.table(k)
-            if list(gather(table)) != table:
-                first = min(r for g, r in enumerate(rep) if table[r] != table[g])
+        Every later check reads rows only, which is exact because of this
+        check."""
+        class_of, reps = self.class_index
+        spread = itemgetter(*class_of)
+        for k, ch in enumerate(self.chars):
+            table = value_table(ch, self.params)
+            row = self._rows[k] = [table[g] for g, _ in reps]
+            if list(spread(row)) != table:
+                bad = min(c for c, e in zip(class_of, table) if e != row[c])
                 return CheckResult(
-                    "class_functions", False,
-                    f"in class of {GroupElement(*divmod(first, qb))}",
+                    "class_functions", False, f"in class of {self.conj_classes[bad][0]}"
                 )
         return CheckResult(
             "class_functions", True,
@@ -346,17 +336,11 @@ class DeepChecker:
         both tables are class functions."""
         params = self.params
         qc = params.p ** ambient_level(params)
-        tx, ty = self.table(x), self.table(y)
         coeff = self.chars[x].degree * self.chars[y].degree
         acc = [0] * qc
-        for g, size in self.class_index[1]:
-            e1 = tx[g]
-            if e1 is None:
-                continue
-            e2 = ty[g]
-            if e2 is None:
-                continue
-            acc[(e1 - e2) % qc] += coeff * size
+        for (_, size), e1, e2 in zip(self.class_index[1], self.row(x), self.row(y)):
+            if e1 is not None and e2 is not None:
+                acc[(e1 - e2) % qc] += coeff * size
         return reduce_power_vector(params.p, ambient_level(params), acc)
 
     def _pair_orthogonal(self, x: int, y: int) -> bool:
@@ -364,19 +348,14 @@ class DeepChecker:
         expected0 = self.params.order if x == y else 0
         return reduced[0] == expected0 and not any(reduced[1:])
 
-    def check_orthogonality(
-        self, *, all_pairs_bound: int = 243, sample_pairs: int = 100
-    ) -> CheckResult:
+    def check_orthogonality(self) -> CheckResult:
         """First orthogonality, exactly: sum_g psi(g) conj(psi'(g)) is |G|
-        on the diagonal and 0 off it. All pairs for |G| <= all_pairs_bound,
-        else `sample_pairs` random pairs plus random diagonal entries.
-
-        Each sum runs over class representatives weighted by class size,
-        so it relies on `check_class_functions`: a table that is not a
-        class function fails there, not here."""
+        on the diagonal and 0 off it. All pairs for |G| <=
+        EXHAUSTIVE_ORDER_BOUND, else ORTHOGONALITY_PAIRS random pairs plus
+        random diagonal entries."""
         count = len(self.chars)
         checked = 0
-        if self.params.order <= all_pairs_bound:
+        if self.params.order <= EXHAUSTIVE_ORDER_BOUND:
             for x in range(count):
                 for y in range(x, count):
                     if not self._pair_orthogonal(x, y):
@@ -385,7 +364,7 @@ class DeepChecker:
                         )
                     checked += 1
             return CheckResult("orthogonality", True, f"all pairs ({checked})")
-        for _ in range(sample_pairs):
+        for _ in range(ORTHOGONALITY_PAIRS):
             x = self.rng.randrange(count)
             y = self.rng.randrange(count)
             if not self._pair_orthogonal(x, y):
@@ -398,29 +377,28 @@ class DeepChecker:
             checked += 1
         return CheckResult("orthogonality", True, f"sampled pairs ({checked})")
 
-    def check_galois_action(
-        self, *, exhaustive_bound: int = 243, samples: int = 40
-    ) -> CheckResult:
+    def check_galois_action(self) -> CheckResult:
         """Parameter-level Galois action == value-level action: the image
-        character's value at every g is sigma_alpha of the original value."""
+        character's value at every class representative is sigma_alpha of
+        the original value. Every character for every unit alpha for |G| <=
+        EXHAUSTIVE_ORDER_BOUND, else GALOIS_SAMPLES random pairs."""
         params = self.params
         qc = params.p ** ambient_level(params)
         units = [a for a in range(1, qc) if a % params.p]
         index = {ch: k for k, ch in enumerate(self.chars)}
-        if params.order <= exhaustive_bound:
+        if params.order <= EXHAUSTIVE_ORDER_BOUND:
             work = [
                 (k, alpha) for k in range(len(self.chars)) for alpha in units
             ]
         else:
             work = [
                 (self.rng.randrange(len(self.chars)), self.rng.choice(units))
-                for _ in range(samples)
+                for _ in range(GALOIS_SAMPLES)
             ]
         for k, alpha in work:
             image = sigma_on_character(self.chars[k], alpha, params)
-            t_src = self.table(k)
-            t_img = self.table(index[image])
-            if [None if e is None else e * alpha % qc for e in t_src] != t_img:
+            scaled = [None if e is None else e * alpha % qc for e in self.row(k)]
+            if scaled != self.row(index[image]):
                 return CheckResult(
                     "galois_action", False, f"char {k} alpha {alpha}"
                 )
@@ -429,8 +407,8 @@ class DeepChecker:
     def check_matrix_relations(self) -> CheckResult:
         """For one sampled induced character per degree: the monomial
         matrices satisfy A^(p^n) = I, B^(p^m) = I, B A B^-1 = A^r, and their
-        traces match the value table on every conjugacy class, hence on
-        every group element (see `_traces_match`)."""
+        traces match the row on every conjugacy class, hence on every group
+        element (see `_traces_match`)."""
         params = self.params
         p, n, m = params.p, params.n, params.m
         qc = p ** ambient_level(params)
@@ -453,9 +431,9 @@ class DeepChecker:
         return CheckResult("matrix_relations", True, f"degrees checked={checked}")
 
     def _traces_match(self, k: int, a_mat: MonomialMatrix, b_mat: MonomialMatrix) -> bool:
-        """tr(A^i B^j) == psi_k(a^i b^j) on one element a^i b^j of every
-        conjugacy class, read from the cached value table of character k.
-        A is diagonal, so A^i has exponents i * exps.
+        """tr(A^i B^j) == psi_k(a^i b^j) on the representative a^i b^j of
+        every conjugacy class, read from row k. A is diagonal, so A^i has
+        exponents i * exps.
 
         Once A and B satisfy the presentation relations (checked first by
         `check_matrix_relations`), a -> A, b -> B is a representation and
@@ -466,14 +444,13 @@ class DeepChecker:
         p, level = params.p, ambient_level(params)
         qc = p ** level
         qb = p ** params.m
-        table, degree = self.table(k), self.chars[k].degree
+        degree = self.chars[k].degree
         d = len(a_mat.perm)
         b_pows = [MonomialMatrix.identity(qc, d)]
         for _ in range(qb - 1):
             b_pows.append(b_pows[-1] * b_mat)
-        for g, _ in self.class_index[1]:
+        for (g, _), expected in zip(self.class_index[1], self.row(k)):
             i, j = divmod(g, qb)
-            expected = table[g]
             if j % d:  # shift permutation: zero diagonal, zero trace
                 if expected is not None:
                     return False
@@ -492,22 +469,26 @@ class DeepChecker:
                 return False
         return True
 
-    def check_value_function_agreement(self, samples: int = 50) -> CheckResult:
-        """Monomial exponent tables agree with the CyclotomicElement value
-        function on random elements (ties fast path to slow path)."""
+    def check_value_function_agreement(self) -> CheckResult:
+        """Monomial exponent rows agree with the CyclotomicElement value
+        function on VALUE_SAMPLES random elements (ties fast path to slow
+        path); each element reads the row cell of its class."""
         params = self.params
+        level = ambient_level(params)
         qa, qb = params.p ** params.n, params.p ** params.m
-        for _ in range(samples):
+        class_of = self.class_index[0]
+        for _ in range(VALUE_SAMPLES):
             k = self.rng.randrange(len(self.chars))
             i, j = self.rng.randrange(qa), self.rng.randrange(qb)
             ch = self.chars[k]
             slow = character_value(ch, GroupElement(i, j), params)
-            fast = _monomial_as_element(params, ch.degree, self.table(k)[i * qb + j])
+            e = self.row(k)[class_of[i * qb + j]]
+            fast = 0 if e is None else ch.degree * root_power(params.p, level, e)
             if slow != fast:
                 return CheckResult(
                     "value_agreement", False, f"char {k} at ({i}, {j})"
                 )
-        return CheckResult("value_agreement", True, f"samples={samples}")
+        return CheckResult("value_agreement", True, f"samples={VALUE_SAMPLES}")
 
     def check_rational_counts(self) -> CheckResult:
         """Closed-form per-degree rational counts == oracle class counts."""

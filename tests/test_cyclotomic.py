@@ -88,6 +88,9 @@ def test_ring_axioms_random():
             assert (x * y) * z == x * (y * z)
             assert x * y == y * x
             assert x + y == y + x
+            # every coefficient stays a Fraction, whether built or passed on
+            for value in (x, x + y, x * y, root_power(p, 2, rng.randrange(9))):
+                assert all(type(c) is Fraction for c in value.coeffs)
 
 
 def test_galois_apply_basics():

@@ -145,14 +145,26 @@ def test_deep_checker_full_suite():
 
 
 def test_orthogonality_detects_corruption():
-    # feed the checker a wrong table and make sure the pair sum notices
+    # feed the checker a wrong row and make sure the pair sum notices
     params = validate(3, 2, 1, 4)
     checker = DeepChecker(params, rng=random.Random(0))
     assert checker._pair_orthogonal(3, 4)
-    table = list(checker.table(3))
-    table[5] = (table[5] + 1) % 9  # poison one value
-    checker._tables[3] = table
+    row = checker.row(3)
+    row[5] = (row[5] + 1) % 9  # poison the value at one class representative
     assert not checker._pair_orthogonal(3, 4)
+
+
+def test_galois_action_check_is_not_vacuous():
+    # |G| = 27: every character under every unit; one poisoned row cell
+    # breaks the pairs that read that row as source or as image
+    params = validate(3, 2, 1, 4)
+    checker = DeepChecker(params, rng=random.Random(0))
+    assert checker.check_galois_action().ok
+    row = checker.row(4)
+    row[1] = (row[1] + 1) % 9
+    result = checker.check_galois_action()
+    assert not result.ok
+    assert result.detail.startswith("char ")
 
 
 def test_decomposition_check_detects_corrupted_closed_form(monkeypatch):
@@ -174,7 +186,7 @@ def test_matrix_relation_check_is_not_vacuous():
     params = validate(3, 3, 2, 4)
     checker = DeepChecker(params, rng=random.Random(0))
     assert checker.check_matrix_relations().ok
-    # a poisoned b matrix, and separately a poisoned value table, must each
+    # a poisoned b matrix, and separately a poisoned row, must each
     # break the trace comparison
     from metacyclic.verify import monomial_generators
 
@@ -186,10 +198,9 @@ def test_matrix_relation_check_is_not_vacuous():
     assert not checker._traces_match(k, a_mat, bad)
 
     qb, qc = params.p ** params.m, params.p ** ambient_level(params)
-    table = list(checker.table(k))
-    cell = 3 * qb + 3  # a^3 b^3: row and column = 0 mod d = 3
-    table[cell] = (table[cell] + 1) % qc
-    checker._tables[k] = table
+    row = checker.row(k)
+    c = checker.class_index[0][3 * qb + 3]  # class of a^3 b^3: i = j = 0 mod d = 3
+    row[c] = (row[c] + 1) % qc
     assert not checker._traces_match(k, a_mat, b_mat)
 
 
@@ -202,21 +213,28 @@ def _is_class_function(table, classes, qb):
     return True
 
 
-def test_class_function_check_is_not_vacuous():
+def _poisoned_value_table(target, poisoned):
+    """A `value_table` that returns `poisoned` for the character `target`."""
+    def fake(ch, params):
+        return list(poisoned) if ch == target else value_table(ch, params)
+    return fake
+
+
+def test_class_function_check_is_not_vacuous(monkeypatch):
     params = validate(3, 2, 1, 4)  # |G| = 27
     qb = params.p ** params.m
     checker = DeepChecker(params, rng=random.Random(0))
     assert checker.check_class_functions().ok
-    k = 0  # the trivial character: a value in every cell
+    trivial = checker.chars[0]  # a value in every cell
     big = next(cls for cls in checker.conj_classes if len(cls) > 1)
     central = [cls for cls in checker.conj_classes if len(cls) == 1][-1]
-    clean = list(checker.table(k))
+    clean = value_table(trivial, params)
 
     for cls, ok in ((big, False), (central, True)):
         table = list(clean)
         g = cls[-1].i * qb + cls[-1].j
         table[g] = (table[g] + 1) % 9
-        checker._tables[k] = table
+        monkeypatch.setattr(verify, "value_table", _poisoned_value_table(trivial, table))
         result = checker.check_class_functions()
         assert result.ok is ok
         if not ok:
@@ -227,33 +245,33 @@ def test_class_rep_index_agrees_with_per_class_loop():
     for params in (validate(3, 3, 2, 7), validate(5, 2, 1, 6)):
         qb = params.p ** params.m
         checker = DeepChecker(params, rng=random.Random(0))
-        classes, rep = checker.conj_classes, checker.class_rep_index()
-        tables = [checker.table(k) for k in range(len(checker.chars))]
-        for table in tables:
+        classes, class_of = checker.conj_classes, checker.class_index[0]
+        tables = [value_table(ch, params) for ch in checker.chars]
+        for k, table in enumerate(tables):
             assert _is_class_function(table, classes, qb)
-            assert [table[r] for r in rep] == table
+            assert [checker.row(k)[c] for c in class_of] == table
         # one poisoned table: the last element of the largest class
         poisoned = list(tables[0])
         last = max(classes, key=len)[-1]
         poisoned[last.i * qb + last.j] += 1
         assert not _is_class_function(poisoned, classes, qb)
-        assert [poisoned[r] for r in rep] != poisoned
+        assert [checker.row(0)[c] for c in class_of] != poisoned
 
 
-def _full_inner_product(checker, x, y):
+def _full_inner_product(checker, tables, x, y):
     """Reference: the inner product summed over every cell of both tables."""
     params = checker.params
     level = ambient_level(params)
     qc = params.p ** level
     coeff = checker.chars[x].degree * checker.chars[y].degree
     acc = [0] * qc
-    for e1, e2 in zip(checker.table(x), checker.table(y)):
+    for e1, e2 in zip(tables[x], tables[y]):
         if e1 is not None and e2 is not None:
             acc[(e1 - e2) % qc] += coeff
     return reduce_power_vector(params.p, level, acc)
 
 
-def _full_traces_match(checker, k, a_mat, b_mat):
+def _full_traces_match(checker, table, k, a_mat, b_mat):
     """Reference: tr(A^i B^j) against the table on every group element,
     with A^i built by repeated multiplication and the trace read off the
     diagonal of the product."""
@@ -261,7 +279,7 @@ def _full_traces_match(checker, k, a_mat, b_mat):
     level = ambient_level(params)
     qc = params.p ** level
     qa, qb = params.p ** params.n, params.p ** params.m
-    table, degree = checker.table(k), checker.chars[k].degree
+    degree = checker.chars[k].degree
     a_pow = MonomialMatrix.identity(qc, len(a_mat.perm))
     for i in range(qa):
         b_pow = MonomialMatrix.identity(qc, len(b_mat.perm))
@@ -285,10 +303,12 @@ def _full_traces_match(checker, k, a_mat, b_mat):
 def test_class_representative_sums_match_full_group_walks():
     for params in (validate(3, 3, 2, 7), validate(5, 2, 1, 6)):
         checker = DeepChecker(params, rng=random.Random(0))
+        tables = [value_table(ch, params) for ch in checker.chars]
         count = len(checker.chars)
         for x in range(count):
             for y in range(count):
-                assert checker._inner_product(x, y) == _full_inner_product(checker, x, y)
+                assert (checker._inner_product(x, y)
+                        == _full_inner_product(checker, tables, x, y))
         for degree in sorted({ch.degree for ch in checker.chars} - {1}):
             pool = [k for k, ch in enumerate(checker.chars) if ch.degree == degree]
             for k, other in zip(pool, pool[1:] + pool[:1]):
@@ -297,22 +317,40 @@ def test_class_representative_sums_match_full_group_walks():
                 for source, verdict in ((k, True), (other, False)):
                     a_mat, b_mat = monomial_generators(checker.chars[source], params)
                     assert checker._traces_match(k, a_mat, b_mat) is verdict
-                    assert _full_traces_match(checker, k, a_mat, b_mat) is verdict
+                    assert _full_traces_match(checker, tables[k], k, a_mat, b_mat) is verdict
 
 
-def test_run_all_catches_every_single_cell_poisoning():
+def test_run_all_catches_every_single_cell_poisoning(monkeypatch):
     params = validate(3, 2, 1, 4)  # |G| = 27: all pairs, every Galois image
     qc = params.p ** ambient_level(params)
-    checker = DeepChecker(params)
-    linear = next(k for k, ch in enumerate(checker.chars) if ch.degree == 1)
-    induced = next(k for k, ch in enumerate(checker.chars) if ch.degree > 1)
-    for k in (linear, induced):
-        clean = list(checker.table(k))
+    chars = enumerate_irreducibles(params)
+    linear = next(ch for ch in chars if ch.degree == 1)
+    induced = next(ch for ch in chars if ch.degree > 1)
+    for ch in (linear, induced):
+        clean = value_table(ch, params)
         for g, e in enumerate(clean):
             poisoned = list(clean)
             poisoned[g] = 0 if e is None else (e + 1) % qc
-            checker._tables[k] = poisoned
-            checker.rng = random.Random(0)
-            failed = [res.name for res in checker.run_all() if not res.ok]
-            assert failed, (k, g)
-        checker._tables[k] = clean
+            monkeypatch.setattr(verify, "value_table", _poisoned_value_table(ch, poisoned))
+            failed = [res.name for res in DeepChecker(params).run_all() if not res.ok]
+            assert failed, (ch, g)
+
+
+@pytest.mark.parametrize("p, n, m, r", [(3, 3, 2, 7), (5, 2, 1, 6)])
+def test_run_all_keeps_one_row_per_character(monkeypatch, p, n, m, r):
+    # each table is built once, by the class-function check, and only its
+    # h class-representative cells are kept
+    params = validate(p, n, m, r)
+    built = []
+
+    def counting(ch, params):
+        built.append(ch)
+        return value_table(ch, params)
+
+    monkeypatch.setattr(verify, "value_table", counting)
+    checker = DeepChecker(params)
+    assert all(res.ok for res in checker.run_all())
+    assert sorted(built) == checker.chars
+    h = len(checker.conj_classes)
+    assert all(len(checker.row(k)) == h for k in range(len(checker.chars)))
+    assert len(built) == len(checker.chars)
