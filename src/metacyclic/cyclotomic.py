@@ -15,7 +15,6 @@ point except the optional debug embedding `approx_complex`.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -52,7 +51,10 @@ def reduce_power_vector(p: int, level: int, vec) -> list:
     return acc
 
 
-@dataclass(frozen=True, eq=False)
+# the coefficient of every absent basis monomial; Fractions are immutable
+_ZERO = Fraction(0)
+
+
 class CyclotomicElement:
     """An element of Q(zeta_{p^level}) in reduced power-basis coordinates.
 
@@ -60,13 +62,31 @@ class CyclotomicElement:
     coerces both operands to a common level first, so e.g.
     root_power(3, 2, 3) == root_power(3, 1, 1). Level-0 elements are
     rationals and compare/combine with elements of any prime. A number type,
-    so a dataclass rather than a NamedTuple: it must not inherit tuple
-    order, len or iteration.
+    so a slotted class rather than a NamedTuple: it must not inherit tuple
+    order, len or iteration. Assigning or deleting an attribute raises
+    AttributeError; `__reduce__` rebuilds through `__init__`, so pickle
+    and `copy` never assign one.
     """
+
+    __slots__ = ("p", "level", "coeffs")
 
     p: int
     level: int
     coeffs: tuple[Fraction, ...]
+
+    def __init__(self, p: int, level: int, coeffs: tuple[Fraction, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return CyclotomicElement, (self.p, self.level, self.coeffs)
 
     # -- construction --------------------------------------------------
 
@@ -75,9 +95,9 @@ class CyclotomicElement:
         # trusted internal constructor: coeffs already has basis length
         if level > 0 and not any(coeffs[1:]):
             level, coeffs = 0, coeffs[:1]
-        return CyclotomicElement(
-            p, level, tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
-        )
+        return CyclotomicElement(p, level, tuple(
+            c if type(c) is Fraction else Fraction(c) if c else _ZERO for c in coeffs
+        ))
 
     @classmethod
     def rational(cls, p: int, value) -> "CyclotomicElement":
@@ -100,7 +120,7 @@ class CyclotomicElement:
         if level == self.level:
             return list(self.coeffs)
         scale = self.p ** (level - self.level)
-        out = [Fraction(0)] * phi_pk(self.p, level)
+        out = [_ZERO] * phi_pk(self.p, level)
         for e, c in enumerate(self.coeffs):
             if c:
                 out[e * scale] = c

@@ -210,52 +210,40 @@ def conjugate(x: GroupElement, g: GroupElement, params: GroupParams) -> GroupEle
     return multiply(multiply(g, x, params), inverse(g, params), params)
 
 
-def _conj_by_a(x: GroupElement, params: GroupParams) -> GroupElement:
-    # a (a^i b^j) a^-1 = a^(i + 1 - r^j) b^j
-    qa = params.p ** params.n
-    return GroupElement((x.i + 1 - _r_power_table(params)[x.j]) % qa, x.j)
-
-
-def _conj_by_b(x: GroupElement, params: GroupParams) -> GroupElement:
-    # b (a^i b^j) b^-1 = a^(i r) b^j
-    qa = params.p ** params.n
-    return GroupElement((x.i * params.r) % qa, x.j)
-
-
 def conjugacy_classes(params: GroupParams) -> list[tuple[GroupElement, ...]]:
     """Exact partition of all p^(n+m) elements under conjugation.
 
     Orbit closure under conjugation by the two generators only; on a finite
-    set that already yields the orbits of the full group. The class count
-    is checked against `GroupParams.class_count`. Bounded by
-    ORACLE_ORDER_BOUND.
+    set that already yields the orbits of the full group. The walk runs on
+    flat indices i * p^m + j and starts each orbit at the least element not
+    yet seen, so every class comes out sorted and the classes come out
+    ordered by their least element. The class count is checked against
+    `GroupParams.class_count`. Bounded by ORACLE_ORDER_BOUND.
     """
     check_oracle_bound(params)
     qa = params.p ** params.n
     qb = params.p ** params.m
-    seen = [False] * (qa * qb)
+    r, r_pow = params.r, _r_power_table(params)
+    seen = bytearray(qa * qb)
     classes = []
-    for i0 in range(qa):
-        for j0 in range(qb):
-            if seen[i0 * qb + j0]:
-                continue
-            start = GroupElement(i0, j0)
-            seen[i0 * qb + j0] = True
-            orbit = [start]
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in (_conj_by_a(x, params), _conj_by_b(x, params)):
-                    idx = y.i * qb + y.j
-                    if not seen[idx]:
-                        seen[idx] = True
-                        orbit.append(y)
-                        stack.append(y)
-            classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda cls: cls[0])
+    for start in range(qa * qb):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        orbit = [start]
+        stack = [start]
+        while stack:
+            i, j = divmod(stack.pop(), qb)
+            # a (a^i b^j) a^-1 = a^(i + 1 - r^j) b^j, b (a^i b^j) b^-1 = a^(i r) b^j
+            for y in ((i + 1 - r_pow[j]) % qa * qb + j, i * r % qa * qb + j):
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+                    stack.append(y)
+        orbit.sort()
+        classes.append(tuple(GroupElement(*divmod(g, qb)) for g in orbit))
     if len(classes) != params.class_count:
         raise InternalInconsistencyError(
             f"{len(classes)} conjugacy classes, expected {params.class_count}"
         )
     return classes
-

@@ -15,19 +15,22 @@ and B = u p^(C-m), all mod p^C (t = 0, d = 1 are the linear characters):
                  = 0                               otherwise.
 
 Value tables are therefore integer exponent tables, one arithmetic
-progression per row i = 0 mod d. A row depends only on A i mod p^C, so the
-rows repeat with a period dividing p^n: each distinct row is built once and
-the table is one period of rows repeated. The orthogonality/trace sums
-reduce through the same canonical basis reduction that CyclotomicElement
-uses.
+progression per row i = 0 mod d, cut as slices of a cached list of
+residues. A row depends only on A i mod p^C, so the rows repeat with a
+period dividing p^n: each distinct row is built once and the table is one
+period of rows repeated. The orthogonality/trace sums reduce through the
+same canonical basis reduction that CyclotomicElement uses.
 
 `DeepChecker` stores one value form per character, its row: the table's
 exponents on the h = #Irr class representatives, in class order, placed
 by `class_index` = (class_of, reps) from the brute-force conjugacy
 classes. Only `check_class_functions` builds full tables, one at a time:
-it keeps each table's row and checks that the row spread over class_of
-gives the table back. Every check after it reads rows only, which is
-exact because that check has shown every table to be a class function:
+it keeps each table's row and certifies, with list slices over every cell,
+that the row spread over class_of gives the table back: the table must
+match the spread row on `domain`, a fundamental domain of class_of along
+i, and repeat with class_of's period outside it. Every check after it
+reads rows only, which is exact because that check has shown every table
+to be a class function:
 - orthogonality weights each representative by its class size, which is
   the full sum over G;
 - the Galois action compares sigma-scaled rows;
@@ -46,7 +49,8 @@ random elements.
 from __future__ import annotations
 
 import random
-from functools import cached_property
+from collections.abc import Callable
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
@@ -141,17 +145,39 @@ def value_table(ch: IrreducibleCharacter, params: GroupParams) -> list[int | Non
     Row i depends only on d and base = A i mod p^C, so the rows repeat with
     period max(d, order of A in Z/p^C), which divides p^n (A p^n = 0 mod
     p^C). Each distinct row is built once into one period of rows, and the
-    table is that block repeated p^n / period times (a new list)."""
+    table is that block repeated p^n / period times (a new list). A row
+    (base + step j) mod p^C, step = B d, j < p^m / d, is cut from a cached
+    list of residues, `chunk` cells per slice."""
     d, a_exp, b_exp = monomial_form(ch, params)
     qa, qb = params.p ** params.n, params.p ** params.m
     qc = params.p ** ambient_level(params)
     period = max(d, qc // gcd(a_exp, qc))
-    row = [b_exp * j % qc for j in range(0, qb, d)]
+    width, step = qb // d, b_exp * d % qc
+    chunk = width
+    while chunk > _ROW_CHUNK:
+        chunk //= params.p
+    residues = _residues(qc, chunk)
     block: list[int | None] = [None] * (period * qb)
     for i in range(0, period, d):
-        base = a_exp * i % qc
-        block[i * qb:(i + 1) * qb:d] = [(base + e) % qc for e in row]
+        for j in range(0, width, chunk):
+            start = (a_exp * i + step * j) % qc
+            block[i * qb + j * d:i * qb + (j + chunk) * d:d] = (
+                residues[start:start + step * chunk:step] if step else [start] * chunk
+            )
     return block * (qa // period)
+
+
+# A row is cut in slices of at most this many cells, which bounds every
+# cached residue list at p^C (_ROW_CHUNK + 1) entries.
+_ROW_CHUNK = 64
+
+
+@lru_cache(maxsize=16)
+def _residues(qc: int, chunk: int) -> list[int]:
+    """0..qc-1 repeated chunk + 1 times: entry e is e mod qc for every
+    e = start + step * j with start, step < qc and j < chunk, so a slice
+    of it is `chunk` cells of a progression mod qc. Shared; never mutated."""
+    return list(range(qc)) * (chunk + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +259,13 @@ GALOIS_SAMPLES = 40
 VALUE_SAMPLES = 50
 
 
+def _gather(cells: list[int]) -> Callable[[list], tuple]:
+    """`itemgetter(*cells)`, returning a tuple for any number of cells."""
+    if len(cells) > 1:
+        return itemgetter(*cells)
+    return lambda seq: tuple(seq[g] for g in cells)
+
+
 class CheckResult(NamedTuple):
     name: str
     ok: bool
@@ -278,13 +311,47 @@ class DeepChecker:
                 class_of[g.i * qb + g.j] = c
         return class_of, reps
 
+    @cached_property
+    def rep_cells(self) -> Callable[[list], tuple]:
+        """Gathers a table's cells at the class representatives, in class
+        order."""
+        return _gather([g for g, _ in self.class_index[1]])
+
+    @cached_property
+    def domain(self) -> tuple[Callable[[list], tuple], Callable[[list], tuple], list[int]]:
+        """A fundamental domain D of `class_of` along i, found by brute
+        force from `class_index` (no theory). Cells g = i * p^m + j fall
+        into strands c = g mod w, w = gcd(p, p^m) (so c = j mod p when
+        m >= 1). shifts[c] = P_c p^m, where P_c is the least power of p
+        with class_of[g + P_c p^m] == class_of[g] for every g = c mod w
+        below |G| - P_c p^m; P_c = p^n always qualifies, both sides being
+        empty. D is the cells with i < P_(j mod w). It holds every class
+        representative: a representative is the least element of its class,
+        and from i >= P_c on, g - P_c p^m lies in the same class.
+
+        Returns (gather of the cells of D that are not representatives,
+        gather of their class positions from a row, shifts)."""
+        p, qb, order = self.params.p, self.params.p ** self.params.m, self.params.order
+        class_of, reps = self.class_index
+        w = gcd(p, qb)
+        shifts = []
+        for c in range(w):
+            shift = qb
+            while class_of[c + shift::w] != class_of[c:order - shift:w]:
+                shift *= p
+            shifts.append(shift)
+        is_rep = {g for g, _ in reps}
+        cells = sorted(
+            g for j in range(qb) for g in range(j, shifts[j % w], qb) if g not in is_rep
+        )
+        return _gather(cells), _gather([class_of[g] for g in cells]), shifts
+
     def row(self, k: int) -> list[int | None]:
         """Character k's row: its value-table exponents on the class
         representatives, in class order. Built on first use from one
         `value_table`, of which only the h representative cells are kept."""
         if k not in self._rows:
-            table = value_table(self.chars[k], self.params)
-            self._rows[k] = [table[g] for g, _ in self.class_index[1]]
+            self._rows[k] = list(self.rep_cells(value_table(self.chars[k], self.params)))
         return self._rows[k]
 
     # -- individual checks ------------------------------------------------
@@ -307,19 +374,29 @@ class DeepChecker:
 
     def check_class_functions(self) -> CheckResult:
         """Characters are constant on brute-force conjugacy classes: a table
-        is a class function exactly when its row, spread over `class_of`,
-        gives the table back. The only place a full table exists, one at a
-        time; each table's row is kept. A failure names the first element
-        of the first class the table is not constant on.
+        f is a class function exactly when it equals F, its row spread over
+        `class_of`. Every table is read in full, but against `domain`:
+        f == F exactly when f == F on the cells of D that are not
+        representatives (on representatives F is f by construction) and
+        every strand c of f is shifts[c]-periodic along i. If so, F is
+        periodic there too (class_of is), so f == F on rows i < P_c
+        carries to every row; conversely a class function inherits the
+        period of class_of. Each table's row is kept. Only on failure is
+        F spread in full, to name the first element of the first class
+        the table is not constant on.
 
         Every later check reads rows only, which is exact because of this
         check."""
-        class_of, reps = self.class_index
-        spread = itemgetter(*class_of)
+        class_of = self.class_index[0]
+        cells, cell_classes, shifts = self.domain
+        order, w = self.params.order, len(shifts)
         for k, ch in enumerate(self.chars):
             table = value_table(ch, self.params)
-            row = self._rows[k] = [table[g] for g, _ in reps]
-            if list(spread(row)) != table:
+            row = self._rows[k] = list(self.rep_cells(table))
+            if cells(table) != cell_classes(row) or any(
+                table[c + shift::w] != table[c:order - shift:w]
+                for c, shift in enumerate(shifts)
+            ):
                 bad = min(c for c, e in zip(class_of, table) if e != row[c])
                 return CheckResult(
                     "class_functions", False, f"in class of {self.conj_classes[bad][0]}"

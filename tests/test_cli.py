@@ -371,7 +371,7 @@ def test_closed_form_commands_execute_no_oracle_module():
     assert counts == [0, COUNTS_ORACLE[1], ""]
     assert doc["after_oracle"] == {
         "executed": ["cyclotomic", "complex_reps", "rational", "verify"],
-        "stdlib": ["fractions", "cmath", "dataclasses", "inspect"],
+        "stdlib": ["fractions", "cmath"],
     }
 
 

@@ -210,3 +210,21 @@ def test_hash_consistent_with_eq():
     assert hash(CyclotomicElement.rational(3, 4)) == hash(CyclotomicElement.rational(5, 4))
     values = {root_power(3, 2, 3), root_power(3, 1, 1), root_power(3, 2, 1)}
     assert len(values) == 2
+
+
+def test_immutable_and_round_trips_through_pickle_and_deepcopy():
+    import copy
+    import pickle
+
+    x = root_power(5, 2, 7) + Fraction(1, 3)
+    for name in ("p", "level", "coeffs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert (x.p, x.level) == (5, 2)
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        assert type(y) is CyclotomicElement
+        assert (y.p, y.level, y.coeffs) == (x.p, x.level, x.coeffs)
+        assert y == x and hash(y) == hash(x)
+        assert all(type(c) is Fraction for c in y.coeffs)

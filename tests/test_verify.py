@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -354,3 +355,104 @@ def test_run_all_keeps_one_row_per_character(monkeypatch, p, n, m, r):
     h = len(checker.conj_classes)
     assert all(len(checker.row(k)) == h for k in range(len(checker.chars)))
     assert len(built) == len(checker.chars)
+
+
+def _class_function_reference(table, classes, qb):
+    """Reference verdict and detail: the table's representative cells,
+    spread over every element, must give the table back."""
+    class_of = [0] * len(table)
+    for c, cls in enumerate(classes):
+        for g in cls:
+            class_of[g.i * qb + g.j] = c
+    row = [table[cls[0].i * qb + cls[0].j] for cls in classes]
+    if [row[c] for c in class_of] == table:
+        return True, ""
+    bad = next(cls for cls in classes
+               if len({table[g.i * qb + g.j] for g in cls}) > 1)
+    return False, f"in class of {bad[0]}"
+
+
+def _certificate_groups():
+    for p in (3, 5, 7):
+        yield from valid_parameter_sets(p, 729)
+    yield validate(3, 3, 2, 7)  # s = 2 with the twist k = 2
+    yield validate(3, 2, 5, 4)  # p^m > p^n
+    yield validate(3, 2, 2, 1, abelian=True)  # every class one cell
+    yield validate(3, 3, 0, 1, abelian=True)  # m = 0: one strand
+
+
+def test_class_function_certificate_equals_full_spread(monkeypatch):
+    groups = list(_certificate_groups())
+    assert len(groups) == 21
+    rng = random.Random(13)
+    failed = 0
+    for params in groups:
+        qb = params.p ** params.m
+        qc = params.p ** ambient_level(params)
+        checker = DeepChecker(params)
+        classes = checker.conj_classes
+        if params.abelian:
+            assert checker.domain[0](list(range(params.order))) == ()
+        k = rng.randrange(len(checker.chars))
+        clean = value_table(checker.chars[k], params)
+        flat = [[g.i * qb + g.j for g in cls] for cls in classes]
+        big = [cells for cells in flat if len(cells) > 1] or flat
+        poisonings = []
+        last, second = rng.choice(big), rng.choice(big)
+        for g in (last[-1], second[min(1, len(second) - 1)]):  # one cell
+            poisoned = list(clean)
+            poisoned[g] = 0 if clean[g] is None else (clean[g] + 1) % qc
+            poisonings.append((poisoned, None))
+        poisoned = list(clean)
+        poisoned[rng.randrange(params.order)] = None
+        poisonings.append((poisoned, None))
+        cells = rng.choice(flat)  # a whole class: still a class function
+        poisoned = list(clean)
+        value = 0 if clean[cells[0]] is None else (clean[cells[0]] + 1) % qc
+        for g in cells:
+            poisoned[g] = value
+        poisonings.append((poisoned, True))
+        for poisoned, expected in poisonings:
+            monkeypatch.setattr(
+                verify, "value_table",
+                _poisoned_value_table(checker.chars[k], poisoned),
+            )
+            result = DeepChecker(params).check_class_functions()
+            ok, detail = _class_function_reference(poisoned, classes, qb)
+            assert (result.ok, result.ok or result.detail) == (ok, ok or detail), params
+            assert expected is None or result.ok is expected
+            failed += not result.ok
+    assert failed >= 2 * 17  # both one-cell poisonings fail on every non-abelian group
+
+
+def _value_table_per_cell(ch, params):
+    """Reference: `value_table` with each row built cell by cell."""
+    d, a_exp, b_exp = verify.monomial_form(ch, params)
+    qa, qb = params.p ** params.n, params.p ** params.m
+    qc = params.p ** ambient_level(params)
+    period = max(d, qc // math.gcd(a_exp, qc))
+    row = [b_exp * j % qc for j in range(0, qb, d)]
+    block = [None] * (period * qb)
+    for i in range(0, period, d):
+        base = a_exp * i % qc
+        block[i * qb:(i + 1) * qb:d] = [(base + e) % qc for e in row]
+    return block * (qa // period)
+
+
+def test_value_table_equals_per_cell_rows():
+    # every character while #Irr * |G| <= 10^5; above it, a spread of
+    # characters and the first with constant rows (step B d = 0 mod p^C)
+    groups = [q for p in (3, 5, 7) for q in valid_parameter_sets(p, 10 ** 4)]
+    groups += list(_abelian_groups())
+    flat_rows = 0
+    for params in groups:
+        qc = params.p ** ambient_level(params)
+        chars = enumerate_irreducibles(params)
+        flat = [ch for ch in chars
+                if verify.monomial_form(ch, params)[2] * ch.degree % qc == 0]
+        if len(chars) * params.order > 10 ** 5:
+            chars = chars[::max(1, len(chars) // 16)] + flat[:4]
+        for ch in chars:
+            assert value_table(ch, params) == _value_table_per_cell(ch, params), (params, ch)
+        flat_rows += len(set(chars) & set(flat))
+    assert flat_rows > len(groups)
