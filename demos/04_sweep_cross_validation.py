@@ -11,7 +11,7 @@ import time
 
 from metacyclic import abelian_class_count_identity, cross_validate
 from metacyclic.cli import format_decomposition
-from metacyclic.verify import valid_parameter_sets
+from metacyclic.group import valid_parameter_sets
 
 start = time.time()
 print(f"{'p':>2} {'n':>2} {'m':>2} {'s':>2} {'|G|':>5}  components")

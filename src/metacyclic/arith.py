@@ -126,7 +126,8 @@ def split_r(r: int, p: int, n: int) -> tuple[int, int]:
     k = d // p ** w
     if not (1 <= k < p ** s) or k % p == 0:
         raise InternalInconsistencyError(f"bad split r={r}: k={k}, s={s}")
-    if multiplicative_order(r, p, n) != p ** s:
+    # the order divides p^s but not p^(s-1), so it is p^s
+    if pow(r, p ** s, q) != 1 or pow(r, p ** (s - 1), q) == 1:
         raise InternalInconsistencyError(
             f"order of r={r} mod {p}^{n} is not p^{s}"
         )

@@ -1,11 +1,11 @@
 """Closed-form combinatorial description of the decomposition and counts.
 
-Pure functions of (p, n, m, s), the abelian s = 0 included: the
-decomposition of the rational group algebra in three branches, per-degree
-counts of complex and rational irreducibles, the abelian C_{p^n} x C_{p^m}
-decomposition stated on its own, and a totient partition identity used as
-a counting self-check. Empty summation ranges contribute nothing (Python
-range semantics make the degenerate bounds explicit).
+Pure functions of (p, n, m, s), the abelian s = 0 included: the rational
+group algebra's decomposition and its per-degree rational counts, each one
+formula in w = n-s with no case split; the complex counts; the abelian
+C_{p^n} x C_{p^m} decomposition stated on its own; and a totient partition
+identity used as a counting self-check. Empty summation ranges contribute
+nothing (Python range semantics make the degenerate bounds explicit).
 """
 
 from __future__ import annotations
@@ -30,34 +30,20 @@ def _abelian_items(p: int, hi: int, lo: int) -> list[tuple[int, int, int]]:
 def wedderburn_closed_form(params: GroupParams) -> WedderburnDecomposition:
     """The decomposition of QG as a canonical component multiset.
 
-    The commutative part is Q(G/G') with G/G' = C_{p^(n-s)} x C_{p^m}; the
-    matrix components branch on n-s >= m, else on k = m-(n-s) <= s vs
-    k > s; at s = 0 only the items of `abelian_closed_form` remain. The
-    dimension identity sum(mult * q^2 * phi(p^lambda)) = p^(n+m) is
-    asserted on every output.
+    With w = n-s: Q(G/G') for G/G' = C_{p^w} x C_{p^m}, and for t = 1..s
+    p^min(w, m-t) M_{p^t}(Q(zeta_{p^w})) plus phi(p^w) M_{p^t}(Q(zeta_{p^lam}))
+    for lam = w+1..m-t. The paper's cases read off it with k = m-w: the
+    minimum is m-t for every t if w >= m, w for t < k and m-t from t = k on
+    if k <= s, and w for every t if k > s; the lam-range is empty from t = k
+    on. At s = 0 only `abelian_closed_form` remains. The dimension identity
+    sum(mult * q^2 * phi(p^lambda)) = p^(n+m) is asserted on every output.
     """
     p, n, m, s = params.p, params.n, params.m, params.s
     w = n - s
     items = _abelian_items(p, max(w, m), min(w, m))
-    if w >= m:
-        items += [(p ** t, w, p ** (m - t)) for t in range(1, s + 1)]
-    else:
-        k = m - w
-        if k <= s:
-            items += [(p ** t, w, p ** w) for t in range(1, k)]
-            items += [
-                (p ** t, lam, phi_pk(p, w))
-                for t in range(1, k)
-                for lam in range(w + 1, m - t + 1)
-            ]
-            items += [(p ** t, w, p ** (m - t)) for t in range(k, s + 1)]
-        else:
-            items += [(p ** t, w, p ** w) for t in range(1, s + 1)]
-            items += [
-                (p ** t, lam, phi_pk(p, w))
-                for t in range(1, s + 1)
-                for lam in range(w + 1, m - t + 1)
-            ]
+    for t in range(1, s + 1):
+        items.append((p ** t, w, p ** min(w, m - t)))
+        items += [(p ** t, lam, phi_pk(p, w)) for lam in range(w + 1, m - t + 1)]
     decomposition = assemble_components(p, items)
     if decomposition.dimension() != params.order:
         raise InternalInconsistencyError(
@@ -82,68 +68,50 @@ def abelian_closed_form(p: int, n: int, m: int) -> WedderburnDecomposition:
 class RationalCounts(NamedTuple):
     """Counts of inequivalent irreducible rational representations.
 
-    by_lambda[lam] counts those of degree phi(p^lam) (the table the closed
-    form produces directly); by_degree keys the same counts by the actual
-    degree value phi(p^lam).
+    by_lambda[lam] counts those of degree phi(p^lam), the table the closed
+    form produces; by_degree keys the same counts by the degree phi(p^lam).
     """
 
     p: int
     by_lambda: dict[int, int]
-    by_degree: dict[int, int]
+
+    @property
+    def by_degree(self) -> dict[int, int]:
+        return {phi_pk(self.p, lam): c for lam, c in self.by_lambda.items()}
 
     @property
     def total(self) -> int:
         return sum(self.by_lambda.values())
 
 
-def _counts_from_lambda(p: int, by_lambda: dict[int, int]) -> RationalCounts:
-    by_lambda = {lam: c for lam, c in sorted(by_lambda.items()) if c}
-    by_degree = {phi_pk(p, lam): c for lam, c in by_lambda.items()}
-    return RationalCounts(p, by_lambda, by_degree)
-
-
 def rational_counts_closed_form(params: GroupParams) -> RationalCounts:
-    """Per-degree counts of rational irreducibles, for every s (at s = 0 the
-    t-ranges are empty and the counts are those of the abelian group).
+    """Per-degree counts of rational irreducibles, for every s.
 
-    Case (n-s >= m): 1 at lam=0; p^(lam-1)(p+1) for 1 <= lam <= m; p^m for
-    m < lam <= n-s; p^(m-t) at lam = n-s+t for t = 1..s.
-    Case (n-s < m), k = m-(n-s):
-      k <= s: 1 at lam=0; p^(lam-1)(p+1) for 1 <= lam <= n-s;
-              2p^(n-s) + (t-1)phi(p^(n-s)) at lam = n-s+t for t < k;
-              p^(n-s) + (k-1)phi(p^(n-s)) + p^(m-k) at lam = m (t = k);
-              p^(m-t) at lam = n-s+t for k < t <= s.
-      k > s:  1 at lam=0; p^(lam-1)(p+1) for 1 <= lam <= n-s;
-              2p^(n-s) + (t-1)phi(p^(n-s)) at lam = n-s+t for t <= s;
-              p^(n-s) + s*phi(p^(n-s)) for n+1 <= lam <= m.
+    With w = n-s, lo = min(w, m), hi = max(w, m): 1 at lam = 0, and at each
+    1 <= lam <= max(n, m) the sum of p^(lam-1)(p+1) if lam <= lo; p^lo if
+    lo < lam <= hi; p^min(w, m+w-lam) if w < lam <= n (lam = w+t, t <= s);
+    phi(p^w) min(s, lam-w-1) if w+1 < lam <= m. The paper's cases, k = m-w:
+    if n-s >= m the last term is empty and the third is p^(m-t); if k <= s
+    the third is p^w up to lam = m, then p^(m+w-lam); if k > s it is p^w
+    throughout and the last reaches s. At s = 0 only the first two remain.
     """
     p, n, m, s = params.p, params.n, params.m, params.s
     w = n - s
+    lo, hi = min(w, m), max(w, m)
     phi_w = phi_pk(p, w)
-    table: dict[int, int] = {0: 1}
-    if w >= m:
-        for lam in range(1, m + 1):
-            table[lam] = p ** (lam - 1) * (p + 1)
-        for lam in range(m + 1, w + 1):
-            table[lam] = p ** m
-        for t in range(1, s + 1):
-            table[w + t] = table.get(w + t, 0) + p ** (m - t)
-    else:
-        k = m - w
-        for lam in range(1, w + 1):
-            table[lam] = p ** (lam - 1) * (p + 1)
-        if k <= s:
-            for t in range(1, k):
-                table[w + t] = 2 * p ** w + (t - 1) * phi_w
-            table[w + k] = p ** w + (k - 1) * phi_w + p ** (m - k)
-            for t in range(k + 1, s + 1):
-                table[w + t] = p ** (m - t)
-        else:
-            for t in range(1, s + 1):
-                table[w + t] = 2 * p ** w + (t - 1) * phi_w
-            for lam in range(n + 1, m + 1):
-                table[lam] = p ** w + s * phi_w
-    return _counts_from_lambda(p, table)
+    by_lambda = {0: 1}
+    for lam in range(1, max(n, m) + 1):
+        count = 0
+        if lam <= lo:
+            count += p ** (lam - 1) * (p + 1)
+        elif lam <= hi:
+            count += p ** lo
+        if w < lam <= n:
+            count += p ** min(w, m + w - lam)
+        if w + 1 < lam <= m:
+            count += phi_w * min(s, lam - w - 1)
+        by_lambda[lam] = count  # > 0: lam <= hi has term 1 or 2, lam > hi term 3
+    return RationalCounts(p, by_lambda)
 
 
 def complex_counts_closed_form(params: GroupParams) -> dict[int, int]:

@@ -24,11 +24,7 @@ from typing import NamedTuple
 
 from .arith import p_adic_valuation, phi_pk, unit_group_generator
 from .complex_reps import IrreducibleCharacter, canonical_orbit_label
-from .components import (  # noqa: F401 (SimpleComponent is a re-export)
-    SimpleComponent,
-    WedderburnDecomposition,
-    assemble_components,
-)
+from .components import WedderburnDecomposition, assemble_components
 from .errors import InternalInconsistencyError, ValidationError
 from .group import GroupParams
 

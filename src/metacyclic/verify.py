@@ -69,7 +69,6 @@ from .group import (
     _r_power_table,
     check_oracle_bound,
     conjugacy_classes,
-    valid_parameter_sets,  # re-exported; its home is `group`
 )
 from .rational import (
     GaloisClass,

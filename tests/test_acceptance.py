@@ -19,8 +19,8 @@ from metacyclic.formulas import (
     rational_counts_closed_form,
     wedderburn_closed_form,
 )
-from metacyclic.group import conjugacy_classes, from_s, validate
-from metacyclic.verify import DeepChecker, cross_validate, valid_parameter_sets
+from metacyclic.group import conjugacy_classes, from_s, valid_parameter_sets, validate
+from metacyclic.verify import DeepChecker, cross_validate
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

@@ -68,7 +68,7 @@ def test_text_grammar_round_trip():
     from metacyclic.cli import format_decomposition, parse_decomposition
     from metacyclic.formulas import wedderburn_closed_form
     from metacyclic.group import validate
-    from metacyclic.verify import valid_parameter_sets
+    from metacyclic.group import valid_parameter_sets
 
     for params in valid_parameter_sets(3, 729):
         dec = wedderburn_closed_form(params)
@@ -188,7 +188,7 @@ def test_oversized_input_rejected_fast():
 
 
 def test_verify_all_checks_oracle_bound_before_first_row(capsys):
-    from metacyclic.verify import valid_parameter_sets
+    from metacyclic.group import valid_parameter_sets
 
     code, out, err = run_main(capsys, "verify --p 3 --all --max-order 100000")
     assert (code, out) == (4, "")

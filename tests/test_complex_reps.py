@@ -13,8 +13,8 @@ from metacyclic.complex_reps import (
 )
 from metacyclic.cyclotomic import CyclotomicElement, root_power
 from metacyclic.errors import InternalInconsistencyError
-from metacyclic.group import GroupElement, _r_power_table, validate
-from metacyclic.verify import ambient_level, monomial_generators, valid_parameter_sets
+from metacyclic.group import GroupElement, _r_power_table, valid_parameter_sets, validate
+from metacyclic.verify import ambient_level, monomial_generators
 
 
 def degree_histogram(chars):

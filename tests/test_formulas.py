@@ -9,7 +9,7 @@ from metacyclic.formulas import (
     rational_counts_closed_form,
     wedderburn_closed_form,
 )
-from metacyclic.group import from_s, validate
+from metacyclic.group import from_s, valid_parameter_sets, validate
 from metacyclic.verify import cross_validate, decomposition_via_oracle
 
 G1 = validate(3, 4, 2, 10)
@@ -114,21 +114,33 @@ def test_rational_counts_closed_form():
 
 
 def test_rational_totals_equal_component_counts():
-    for params in (G1, G2, G3, validate(3, 2, 2, 4), validate(5, 3, 2, 26)):
-        total = rational_counts_closed_form(params).total
-        assert total == sum(
-            c.multiplicity for c in wedderburn_closed_form(params).components
-        )
+    # per degree: a component (q, lam, mult) holds mult rational irreducibles
+    # of degree q * phi(p^lam); every admitted group to 10^7, s = 0 included
+    primes = (3, 5, 7, 11)
+    groups = [g for p in primes for g in valid_parameter_sets(p, 10 ** 7)]
+    groups += [
+        validate(p, n, e - n, 1, abelian=True)
+        for p in primes for e in range(1, 15) if p ** e <= 10 ** 7
+        for n in range(e + 1)
+    ]
+    assert len(groups) == 575
+    for params in groups:
+        expected: dict[int, int] = {}
+        for c in wedderburn_closed_form(params).components:
+            degree = c.matrix_size * phi_pk(params.p, c.center_level)
+            expected[degree] = expected.get(degree, 0) + c.multiplicity
+        assert rational_counts_closed_form(params).by_degree == expected, params
 
 
 def test_branch_routing_and_degenerate_ranges():
-    # boundary n-s = m goes through the first branch with an empty middle sum
+    # boundary n-s = m: min(n-s, m-t) = m-t and the lam-range is empty
     boundary = validate(3, 2, 1, 4)
     assert boundary.s == 1
     assert wedderburn_closed_form(boundary).as_multiset() == {
         (1, 0): 1, (1, 1): 4, (3, 1): 1,
     }
-    # k = 1 in the second branch: both t-ranges below k are empty
+    # k = m-(n-s) = 1 <= s: at t = k the multiplicities p^(n-s) and p^(m-t)
+    # coincide and the lam-range is empty
     k1 = validate(3, 2, 2, 4)
     assert wedderburn_closed_form(k1).as_multiset() == {
         (1, 0): 1, (1, 1): 4, (1, 2): 3, (3, 1): 3,

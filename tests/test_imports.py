@@ -2,20 +2,14 @@
 
 A stdlib `ast` walk over `src/metacyclic/*.py`: each name bound by an
 `import` or `from ... import` (the `__future__` import aside) must be read
-somewhere in the same module, or be listed in RE_EXPORTS as a name the
-module imports only so that callers can reach it there.
+somewhere in the same module: no module re-exports a name for its callers,
+who import it from its home module.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "metacyclic"
-
-# module -> names it imports for its callers, not for its own code
-RE_EXPORTS = {
-    "verify": {"valid_parameter_sets"},
-    "rational": {"SimpleComponent"},
-}
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -39,14 +33,7 @@ def test_every_import_is_read_or_re_exported():
     unused = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        names = _imported_names(tree) - _read_names(tree) - RE_EXPORTS.get(path.stem, set())
+        names = _imported_names(tree) - _read_names(tree)
         if names:
             unused[path.stem] = sorted(names)
     assert unused == {}
-
-
-def test_re_exports_are_imported_and_not_read():
-    # a stale entry would let a later unused import of that name through
-    for module, names in RE_EXPORTS.items():
-        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-        assert names <= _imported_names(tree) - _read_names(tree), module

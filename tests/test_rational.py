@@ -11,7 +11,7 @@ from metacyclic.complex_reps import (
 )
 from metacyclic.cyclotomic import galois_apply
 from metacyclic.errors import InternalInconsistencyError, ValidationError
-from metacyclic.group import GroupElement, validate
+from metacyclic.group import GroupElement, valid_parameter_sets, validate
 from metacyclic.rational import (
     GaloisClass,
     character_field_level,
@@ -20,7 +20,6 @@ from metacyclic.rational import (
     sigma_on_character,
     wedderburn_from_classes,
 )
-from metacyclic.verify import valid_parameter_sets
 
 G1 = validate(3, 4, 2, 10)
 G2 = validate(3, 3, 3, 4)

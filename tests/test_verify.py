@@ -6,10 +6,10 @@ import pytest
 
 from metacyclic import verify
 from metacyclic.complex_reps import character_value, enumerate_irreducibles
+from metacyclic.components import SimpleComponent, WedderburnDecomposition
 from metacyclic.cyclotomic import CyclotomicElement, galois_apply, reduce_power_vector
 from metacyclic.errors import SizeBoundError
-from metacyclic.group import GroupElement, from_s, validate
-from metacyclic.rational import SimpleComponent, WedderburnDecomposition
+from metacyclic.group import GroupElement, from_s, valid_parameter_sets, validate
 from metacyclic.verify import (
     DeepChecker,
     MonomialMatrix,
@@ -18,7 +18,6 @@ from metacyclic.verify import (
     decomposition_via_oracle,
     diff_components,
     monomial_generators,
-    valid_parameter_sets,
     value_table,
 )
 
