@@ -3,13 +3,12 @@
 
 For each (p, n, m, s) with p^(n+m) small enough for the brute-force side,
 the closed-form component multiset must equal the multiset assembled from
-Galois classes of the character table. Also spot-checks the counting
-identity behind the abelian classification.
+Galois classes of the character table.
 """
 
 import time
 
-from metacyclic import abelian_class_count_identity, cross_validate
+from metacyclic import cross_validate
 from metacyclic.cli import format_decomposition
 from metacyclic.group import valid_parameter_sets
 
@@ -29,12 +28,3 @@ for p, max_order in ((3, 2187), (5, 3125)):
               f"{params.order:>5}  {line}")
 print("-" * 72)
 print(f"{total} parameter sets verified in {time.time() - start:.2f}s")
-
-print("\nTotient partition identity for the abelian grid, p up to 11, n up to 12:")
-checks = sum(
-    abelian_class_count_identity(p, n, m)
-    for p in (3, 5, 7, 11)
-    for n in range(13)
-    for m in range(n + 1)
-)
-print(f"  {checks} instances hold exactly")

@@ -52,10 +52,8 @@ _HOME = {
     "wedderburn_from_classes": "rational",
     "rational_counts_from_classes": "rational",
     "wedderburn_closed_form": "formulas",
-    "abelian_closed_form": "formulas",
     "rational_counts_closed_form": "formulas",
     "complex_counts_closed_form": "formulas",
-    "abelian_class_count_identity": "formulas",
     "cross_validate": "verify",
     "decomposition_via_oracle": "verify",
     "DeepChecker": "verify",

@@ -34,9 +34,9 @@ class IrreducibleCharacter(NamedTuple):
     degree: int
 
 
-def canonical_orbit_label(params: GroupParams, t: int, l: int) -> int:
+def canonical_orbit_label(params: GroupParams, l: int) -> int:
     """Minimal element of the orbit {l r^i mod p^(n-s+t)} of l (a unit
-    when t >= 1), which is l mod p^(n-s).
+    when t >= 1), which is l mod p^(n-s) whatever the orbit's t.
 
     At t = 0, <r> acts trivially on Z/p^(n-s) and the orbit is {l}. For
     t >= 1, r = 1 + k p^(n-s) with gcd(k, p) = 1 has order exactly p^t mod

@@ -76,7 +76,7 @@ def sigma_on_character(
     if gcd(alpha, p) != 1:
         raise ValidationError(f"alpha={alpha} is divisible by p={p}")
     t = ch.t
-    label = canonical_orbit_label(params, t, alpha * ch.l)
+    label = canonical_orbit_label(params, alpha * ch.l)
     return IrreducibleCharacter(t, label, alpha * ch.u % p ** (params.m - t), ch.degree)
 
 

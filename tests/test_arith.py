@@ -137,7 +137,6 @@ def test_unit_group_generator_has_full_order():
 def test_check_odd_prime_is_the_one_odd_prime_check():
     from metacyclic.arith import check_odd_prime
     from metacyclic.cyclotomic import CyclotomicElement, root_power
-    from metacyclic.formulas import abelian_closed_form
 
     for p in (-3, 0, 1, 2, 9):
         for call in (
@@ -145,7 +144,6 @@ def test_check_odd_prime_is_the_one_odd_prime_check():
             lambda: multiplicative_order(1, p, 1),
             lambda: unit_group_generator(p, 1),
             lambda: split_r(4, p, 2),
-            lambda: abelian_closed_form(p, 1, 0),
             lambda: CyclotomicElement.rational(p, 0),
             lambda: CyclotomicElement.from_power_vector(p, 1, [1]),
             lambda: root_power(p, 1, 0),

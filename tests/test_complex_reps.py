@@ -78,7 +78,7 @@ def test_label_is_minimum_of_orbit():
             steps = _r_power_table(params)[: p ** t]
             for l in range(1, q):
                 if l % p:
-                    assert canonical_orbit_label(params, t, l) == min(
+                    assert canonical_orbit_label(params, l) == min(
                         l * step % q for step in steps
                     ), (params, t, l)
 

@@ -1,10 +1,5 @@
-import pytest
-
 from metacyclic.arith import phi_pk
-from metacyclic.errors import ValidationError
 from metacyclic.formulas import (
-    abelian_class_count_identity,
-    abelian_closed_form,
     complex_counts_closed_form,
     rational_counts_closed_form,
     wedderburn_closed_form,
@@ -37,28 +32,31 @@ def test_golden_dimension_tallies():
         assert wedderburn_closed_form(params).dimension() == params.order
 
 
-def test_abelian_closed_form():
-    cyclic = abelian_closed_form(3, 1, 0)
+def test_abelian_decomposition():
+    cyclic = wedderburn_closed_form(from_s(3, 1, 0, 0))
     assert cyclic.as_multiset() == {(1, 0): 1, (1, 1): 1}  # QC_3 = Q + Q(z3)
-    grid = abelian_closed_form(3, 2, 1)
+    grid = wedderburn_closed_form(from_s(3, 2, 1, 0))
     assert grid.as_multiset() == {(1, 0): 1, (1, 1): 4, (1, 2): 3}
     assert grid.dimension() == 27
-    with pytest.raises(ValidationError):
-        abelian_closed_form(3, 1, 2)  # n < m: caller must swap
+
+
+def _small_abelian(primes, max_order):
+    """(p, n, m) with n + m >= 1 and p^(n+m) <= max_order, both orders."""
+    for p in primes:
+        for n in range(max_order.bit_length()):
+            for m in range(max_order.bit_length()):
+                if 0 < n + m and p ** (n + m) <= max_order:
+                    yield p, n, m
 
 
 def test_abelian_total_count_formula():
-    for p in (3, 5):
-        for n in range(0, 5):
-            for m in range(0, n + 1):
-                if n + m == 0:
-                    continue
-                dec = abelian_closed_form(p, n, m)
-                total = sum(c.multiplicity for c in dec.components)
-                expected = sum(
-                    (n + m + 1 - 2 * k) * phi_pk(p, k) for k in range(m + 1)
-                )
-                assert total == expected
+    for p, n, m in _small_abelian((3, 5), 5 ** 6):
+        dec = wedderburn_closed_form(from_s(p, n, m, 0))
+        total = sum(c.multiplicity for c in dec.components)
+        expected = sum(
+            (n + m + 1 - 2 * k) * phi_pk(p, k) for k in range(min(n, m) + 1)
+        )
+        assert total == expected, (p, n, m)
 
 
 def brute_abelian_components(p, n, m):
@@ -88,9 +86,13 @@ def _val(x, p):
     return w
 
 
-def test_abelian_closed_form_matches_brute_force():
-    for p, n, m in [(3, 1, 0), (3, 1, 1), (3, 2, 1), (3, 2, 2), (3, 3, 2), (5, 2, 1)]:
-        assert abelian_closed_form(p, n, m).as_multiset() == brute_abelian_components(p, n, m)
+def test_abelian_decomposition_matches_brute_force():
+    # n < m, n = 0 and m = 0 included: the closed form is symmetric in n, m
+    groups = list(_small_abelian((3, 5, 7), 729))
+    assert (3, 0, 2) in groups and (5, 1, 3) in groups and (7, 3, 0) in groups
+    for p, n, m in groups:
+        dec = wedderburn_closed_form(from_s(p, n, m, 0))
+        assert dec.as_multiset() == brute_abelian_components(p, n, m), (p, n, m)
 
 
 def test_complex_counts():
@@ -167,29 +169,19 @@ def test_twist_coefficient_does_not_matter():
 
 def test_abelian_params_route_through_closed_form():
     params = validate(3, 1, 2, 1, abelian=True)
-    dec = wedderburn_closed_form(params)  # swaps to (2, 1) internally
-    assert dec == abelian_closed_form(3, 2, 1)
-
-
-def test_class_count_identity():
-    assert abelian_class_count_identity(3, 1, 1)  # 9 = 1 + 2*(2*1 + 2)
-    for p in (3, 5):
-        for n in range(0, 8):
-            assert abelian_class_count_identity(p, n, 0)
-    assert abelian_class_count_identity(7, 12, 12)
-    with pytest.raises(ValidationError):
-        abelian_class_count_identity(3, 1, 2)
+    dec = wedderburn_closed_form(params)
+    assert dec == wedderburn_closed_form(from_s(3, 2, 1, 0))
 
 
 def test_counts_at_s0_are_abelian():
     # s = 0 runs the general formulas: every complex irreducible is linear,
-    # and the rational counts are the degree counts of the abelian closed
-    # form (n < m, n = 0 and m = 0 included)
+    # and the rational counts are the degree counts of the decomposition
+    # (n < m, n = 0 and m = 0 included)
     for p, n, m in ((3, 2, 2), (3, 1, 3), (5, 0, 2), (7, 2, 0), (3, 4, 1), (11, 0, 1)):
         params = validate(p, n, m, 1, abelian=True)
         assert complex_counts_closed_form(params) == {1: p ** (n + m)}
         expected: dict[int, int] = {}
-        for c in abelian_closed_form(p, max(n, m), min(n, m)).components:
+        for c in wedderburn_closed_form(params).components:
             degree = phi_pk(p, c.center_level)
             expected[degree] = expected.get(degree, 0) + c.multiplicity
         assert rational_counts_closed_form(params).by_degree == expected

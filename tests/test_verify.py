@@ -69,14 +69,14 @@ def _abelian_groups():
 def test_general_oracle_on_every_small_abelian_group():
     # the s = 0 member of the family runs the general oracle, which must
     # give the Perlis-Walker decomposition and the closed-form counts
-    from metacyclic.formulas import abelian_closed_form, rational_counts_closed_form
+    from metacyclic.formulas import rational_counts_closed_form, wedderburn_closed_form
     from metacyclic.rational import galois_classes, rational_counts_from_classes
 
     groups = list(_abelian_groups())
     assert len(groups) == 87
     for params in groups:
         p, n, m = params.p, params.n, params.m
-        assert decomposition_via_oracle(params) == abelian_closed_form(p, max(n, m), min(n, m))
+        assert decomposition_via_oracle(params) == wedderburn_closed_form(params)
         classes = galois_classes(enumerate_irreducibles(params), params)
         assert (
             rational_counts_from_classes(classes, params)
