@@ -1,7 +1,8 @@
 """Number-theoretic primitives: orders, valuations, totients, r-splitting.
 
-Everything here is exact integer arithmetic on small inputs; the callers
-cap sizes, so trial division is always fast enough.
+Everything here is exact integer arithmetic on small inputs. Trial
+division is fast enough by construction: `check_odd_prime`, the one check
+on p, bounds p before `is_prime` runs, and p - 1 is factored up to its root.
 """
 
 from __future__ import annotations
@@ -9,7 +10,11 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import InternalInconsistencyError, ValidationError
+from .errors import InternalInconsistencyError, SizeBoundError, ValidationError
+
+# Cap on p and |G|: closed-form paths stay exact well past it, but the point
+# of the bound is predictable desk-scale behaviour, not generality.
+FORMULA_ORDER_BOUND = 10 ** 7
 
 
 def is_prime(x: int) -> bool:
@@ -26,9 +31,16 @@ def is_prime(x: int) -> bool:
 
 
 def check_odd_prime(p: int) -> None:
-    """Reject p unless it is an odd prime, the scope of every module here."""
-    if not is_prime(p) or p < 3:
-        raise ValidationError(f"p must be an odd prime, got {p}")
+    """The one check on p, cheapest first: p is bounded before `is_prime`
+    can take long, then it must be prime, then odd."""
+    if p > FORMULA_ORDER_BOUND:
+        raise SizeBoundError(
+            f"p = {p} exceeds the supported bound {FORMULA_ORDER_BOUND} on |G|"
+        )
+    if not is_prime(p):
+        raise ValidationError(f"p must be prime, got {p}")
+    if p == 2:
+        raise ValidationError("p = 2 is out of scope (odd primes only)")
 
 
 def phi_pk(p: int, exp: int) -> int:
@@ -39,11 +51,10 @@ def phi_pk(p: int, exp: int) -> int:
 
 
 def p_adic_valuation(x: int, p: int) -> int:
-    """w_p(x): the exact exponent of p in x. Undefined (rejected) for x = 0."""
+    """w_p(x): the exact exponent of p in x for odd prime p; rejects x = 0."""
+    check_odd_prime(p)
     if x == 0:
         raise ValidationError("p-adic valuation of 0 is undefined")
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
     x = abs(x)
     w = 0
     while x % p == 0:
@@ -86,13 +97,20 @@ def unit_group_generator(p: int, exp: int) -> int:
     """A generator of the cyclic group (Z/p^exp)^* for an odd prime p, exp >= 1.
 
     The least primitive root g mod p, tested against the prime factors of
-    p - 1 found by trial division, replaced by g + p when g^(p-1) = 1 mod
-    p^2; such a g generates (Z/p^exp)^* for every exp.
+    p - 1 found by trial division up to sqrt(p - 1), replaced by g + p when
+    g^(p-1) = 1 mod p^2; such a g generates (Z/p^exp)^* for every exp.
     """
     check_odd_prime(p)
     if exp < 1:
         raise ValidationError(f"exponent must be >= 1, got {exp}")
-    factors = [q for q in range(2, p) if (p - 1) % q == 0 and is_prime(q)]
+    factors, x = [], p - 1
+    for q in range(2, isqrt(p - 1) + 1):
+        if x % q == 0:  # q is prime: its smaller factors are divided out
+            factors.append(q)
+            while x % q == 0:
+                x //= q
+    if x > 1:  # one prime factor above sqrt(p - 1) is left
+        factors.append(x)
     g = next(
         g for g in range(2, p)
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors)

@@ -409,12 +409,11 @@ def _cmd_counts(args) -> int:
     return EXIT_OK
 
 
-def _sweep_row(task: tuple[int, int, int, int, bool]) -> dict:
-    p, n, m, s, oracle = task
-    params = from_s(p, n, m, s)
+def _sweep_row(task: tuple[GroupParams, bool]) -> dict:
+    params, oracle = task  # validated once, by `valid_parameter_sets`
     dec = wedderburn_closed_form(params)
     row = {
-        "p": p, "n": n, "m": m, "s": s, "r": params.r,
+        "p": params.p, "n": params.n, "m": params.m, "s": params.s, "r": params.r,
         "order": params.order,
         "components": len(dec.components),
         "dim_ok": dec.dimension() == params.order,
@@ -428,7 +427,7 @@ def _cmd_sweep(args) -> int:
     if args.threads < 1:
         raise _UsageError(f"--threads must be >= 1, got {args.threads}")
     groups = _groups_up_to(args, args.oracle)
-    tasks = [(q.p, q.n, q.m, q.s, args.oracle) for q in groups]
+    tasks = [(params, args.oracle) for params in groups]
     workers = min(args.threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

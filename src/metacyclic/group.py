@@ -2,7 +2,8 @@
 
 Validated presentation parameters, the grid of every non-abelian (n, m, s)
 up to an order bound, normal-form elements a^i b^j, multiplication, and
-brute-force conjugacy classes for oracle-side checks.
+brute-force conjugacy classes for oracle-side checks. p is checked by
+`arith.check_odd_prime` and |G| against `arith.FORMULA_ORDER_BOUND`.
 """
 
 from __future__ import annotations
@@ -11,12 +12,11 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .arith import is_prime, split_r
+from .arith import FORMULA_ORDER_BOUND, check_odd_prime, split_r
 from .errors import InternalInconsistencyError, SizeBoundError, ValidationError
 
-# Validation caps: closed-form paths stay exact well past these, but the
-# point of the bounds is predictable desk-scale behaviour, not generality.
-FORMULA_ORDER_BOUND = 10 ** 7
+# The oracle routes walk every element of G: a tighter cap than
+# FORMULA_ORDER_BOUND, which `arith` defines for the checks on p and |G|.
 ORACLE_ORDER_BOUND = 10 ** 4
 
 
@@ -68,23 +68,10 @@ class GroupParams(NamedTuple):
         return 1 + self.p ** (self.n - self.s)
 
 
-def check_p(p: int) -> None:
-    """The checks on p alone, cheapest first: p is bounded before
-    `is_prime` can take long."""
-    if p > FORMULA_ORDER_BOUND:
-        raise SizeBoundError(
-            f"p = {p} exceeds the supported bound {FORMULA_ORDER_BOUND} on |G|"
-        )
-    if not is_prime(p):
-        raise ValidationError(f"p must be prime, got {p}")
-    if p == 2:
-        raise ValidationError("p = 2 is out of scope (odd primes only)")
-
-
 def _check_shape(p: int, n: int, m: int, abelian: bool) -> None:
     """The checks on (p, n, m) alone, cheapest first: p and n + m are
     bounded before `is_prime` or p^(n+m) can take long."""
-    check_p(p)
+    check_odd_prime(p)
     if abelian:
         if n < 0 or m < 0 or n + m < 1:
             raise ValidationError(f"abelian mode needs n, m >= 0, n+m >= 1, got ({n}, {m})")
@@ -141,7 +128,7 @@ def from_s(p: int, n: int, m: int, s: int) -> GroupParams:
 def valid_parameter_sets(p: int, max_order: int):
     """All non-abelian (n, m, s) with p^(n+m) <= max_order, canonical r.
     p is checked first, so a bad p is rejected even when no group fits."""
-    check_p(p)
+    check_odd_prime(p)
     nm = 3  # n >= 2, m >= 1
     while p ** nm <= max_order:
         for n in range(2, nm):

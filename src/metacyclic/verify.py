@@ -204,14 +204,6 @@ class MonomialMatrix(NamedTuple):
         )
         return MonomialMatrix(self.modulus, perm, exps)
 
-    def inv(self) -> "MonomialMatrix":
-        d = len(self.perm)
-        inv_perm = [0] * d
-        for c, target in enumerate(self.perm):
-            inv_perm[target] = c
-        exps = tuple((-self.exps[inv_perm[c]]) % self.modulus for c in range(d))
-        return MonomialMatrix(self.modulus, tuple(inv_perm), exps)
-
     def pow(self, e: int) -> "MonomialMatrix":
         acc = MonomialMatrix.identity(self.modulus, len(self.perm))
         base = self
@@ -499,7 +491,7 @@ class DeepChecker:
                 return CheckResult("matrix_relations", False, f"A^(p^n) != I at t={t}")
             if b_mat.pow(p ** m) != ident:
                 return CheckResult("matrix_relations", False, f"B^(p^m) != I at t={t}")
-            if b_mat * a_mat * b_mat.inv() != a_mat.pow(params.r):
+            if b_mat * a_mat != a_mat.pow(params.r) * b_mat:  # B A B^-1 = A^r
                 return CheckResult("matrix_relations", False, f"B A B^-1 != A^r at t={t}")
             if not self._traces_match(k, a_mat, b_mat):
                 return CheckResult("matrix_relations", False, f"trace mismatch at t={t}")

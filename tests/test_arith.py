@@ -7,7 +7,7 @@ from metacyclic.arith import (
     split_r,
     unit_group_generator,
 )
-from metacyclic.errors import ValidationError
+from metacyclic.errors import SizeBoundError, ValidationError
 
 
 def brute_order(r, q):
@@ -130,25 +130,54 @@ def test_unit_group_generator_has_full_order():
         for exp in range(1, 7):
             g = unit_group_generator(p, exp)
             assert multiplicative_order(g, p, exp) == phi_pk(p, exp)
+    # p = 23, 47, 997, ... leave a prime factor of p - 1 above sqrt(p - 1);
+    # g is the least primitive root mod p, or that root + p
+    for p in (p for p in range(3, 1000) if all(p % d for d in range(2, p))):
+        g = unit_group_generator(p, 2)
+        least = next(x for x in range(2, p) if brute_order(x, p) == p - 1)
+        assert g % p == least and multiplicative_order(g, p, 2) == phi_pk(p, 2)
     with pytest.raises(ValidationError):
         unit_group_generator(9, 2)
 
 
-def test_check_odd_prime_is_the_one_odd_prime_check():
+def test_check_odd_prime_is_the_one_odd_prime_check(monkeypatch):
+    from metacyclic import arith
     from metacyclic.arith import check_odd_prime
+    from metacyclic.cli import parse_decomposition
     from metacyclic.cyclotomic import CyclotomicElement, root_power
+    from metacyclic.group import from_s, valid_parameter_sets, validate
 
-    for p in (-3, 0, 1, 2, 9):
-        for call in (
+    def entry_points(p):
+        return (
             lambda: check_odd_prime(p),
+            lambda: validate(p, 2, 1, 4),
+            lambda: from_s(p, 2, 1, 1),
+            lambda: list(valid_parameter_sets(p, 10 ** 4)),
+            lambda: split_r(4, p, 2),
             lambda: multiplicative_order(1, p, 1),
             lambda: unit_group_generator(p, 1),
-            lambda: split_r(4, p, 2),
+            lambda: p_adic_valuation(4, p),
             lambda: CyclotomicElement.rational(p, 0),
             lambda: CyclotomicElement.from_power_vector(p, 1, [1]),
             lambda: root_power(p, 1, 0),
-        ):
+            lambda: parse_decomposition("Q + 4*Q(z3)", p),
+        )
+
+    cases = [(p, f"p must be prime, got {p}") for p in (-3, 0, 1, 9)]
+    for p, message in cases + [(2, "p = 2 is out of scope (odd primes only)")]:
+        for call in entry_points(p):
             with pytest.raises(ValidationError) as exc:
                 call()
-            assert str(exc.value) == f"p must be an odd prime, got {p}"
+            assert str(exc.value) == message
     check_odd_prime(3)
+
+    # the bound comes before any trial division
+    def no_trial_division(x):
+        raise AssertionError(f"is_prime({x}) ran before the bound on p")
+
+    monkeypatch.setattr(arith, "is_prime", no_trial_division)
+    for p in (10 ** 7 + 19, 10 ** 14 + 31):
+        for call in entry_points(p):
+            with pytest.raises(SizeBoundError) as exc:
+                call()
+            assert str(exc.value) == f"p = {p} exceeds the supported bound 10000000 on |G|"
