@@ -42,9 +42,10 @@ without `--oracle`, run only `cli`, `errors`, `arith`, `group`,
 `components` and `formulas`. The oracle modules `cyclotomic`,
 `complex_reps`, `rational` and `verify` are in sys.modules from the start
 but wait behind a LazyLoader until their first attribute access:
-`counts --kind complex --oracle` runs `complex_reps` and `cyclotomic`,
+`counts --kind complex --oracle` runs `complex_reps`,
 `--kind rational --oracle` also `rational`, and `verify` and
-`sweep --oracle` run all four.
+`sweep --oracle` also `verify`. `cyclotomic` runs only when a character
+value is evaluated, i.e. under `verify --deep`.
 """
 
 from __future__ import annotations
@@ -99,7 +100,9 @@ def _lazy_module(name: str):
 # command reads one of its attributes. Commands read oracle functions as
 # module attributes at call time (`verify.cross_validate(...)`), so a
 # wrapper set on the module is the one called.
-_lazy_module("cyclotomic")  # executed by complex_reps, never read here
+# `complex_reps` and `verify` read `cyclotomic` at call time, and only to
+# evaluate characters, so commands without `--deep` never execute it.
+_lazy_module("cyclotomic")
 complex_reps = _lazy_module("complex_reps")
 rational = _lazy_module("rational")
 verify = _lazy_module("verify")

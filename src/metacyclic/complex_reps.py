@@ -6,7 +6,9 @@ are the singletons {chi_{l p^s}}, l < p^(n-s), at t = 0 and the orbits of
 size p^t labelled by a unit l < p^(n-s) for t = 1..s. Each orbit with a
 character omega^u of the inertia quotient, u < p^(m-t), gives one
 irreducible (t, l, u, degree p^t) of G; t = 0 gives the linear characters
-(all of them at s = 0, the abelian group). Values: `character_value`.
+(all of them at s = 0, the abelian group). Values: `character_value`, which
+alone reads `cyclotomic`, at call time, so enumerating characters never
+executes it.
 Value tables and explicit (monomial) matrices exist only inside the
 verification code, `verify.monomial_form` and `verify.monomial_generators`,
 which the deep checks compare against `character_value`.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicElement, root_power
+from . import cyclotomic
 from .errors import InternalInconsistencyError
 from .group import GroupElement, GroupParams, _r_power_table
 
@@ -104,7 +106,7 @@ def enumerate_irreducibles(params: GroupParams) -> list[IrreducibleCharacter]:
 
 def character_value(
     ch: IrreducibleCharacter, g: GroupElement, params: GroupParams
-) -> CyclotomicElement:
+) -> cyclotomic.CyclotomicElement:
     """Exact value of the character at a^i b^j: with d = p^t,
     d * omega^(j/d) * zeta_{p^n}^(i l p^(s-t)) when d divides both i and j,
     else 0 (never 0 at t = 0, where it is zeta_{p^n}^(l p^s i) zeta_{p^m}^(u j)).
@@ -113,7 +115,7 @@ def character_value(
     t = ch.t
     d = p ** t
     if g.i % d or g.j % d:
-        return CyclotomicElement.rational(p, 0)
-    omega = root_power(p, m - t, ch.u * (g.j // d))
-    za = root_power(p, n, g.i * ch.l * p ** (s - t))
+        return cyclotomic.CyclotomicElement.rational(p, 0)
+    omega = cyclotomic.root_power(p, m - t, ch.u * (g.j // d))
+    za = cyclotomic.root_power(p, n, g.i * ch.l * p ** (s - t))
     return d * omega * za

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arith import phi_pk
+from .arith import check_odd_prime, phi_pk
 from .errors import ValidationError
 
 
@@ -45,6 +45,7 @@ class WedderburnDecomposition(NamedTuple):
 def assemble_components(p: int, items) -> WedderburnDecomposition:
     """Merge raw (matrix_size, center_level, multiplicity) triples into the
     canonical sorted component tuple."""
+    check_odd_prime(p)
     merged: dict[tuple[int, int], int] = {}
     for q, lam, mult in items:
         if mult < 0:

@@ -29,8 +29,11 @@ def reduce_power_vector(p: int, level: int, vec) -> list:
     with int or Fraction entries. Returns a list of length phi(p^level):
     the canonical coordinates. A single descending pass eliminates the
     exponents phi..p^level-1 because each rewrite only adds mass strictly
-    below phi.
+    below phi. p and level are checked here, before p^level is allocated.
     """
+    check_odd_prime(p)
+    if level < 0:
+        raise ValidationError(f"level must be >= 0, got {level}")
     q = p ** level
     phi = phi_pk(p, level)
     acc = [0] * q
@@ -107,9 +110,6 @@ class CyclotomicElement:
     @classmethod
     def from_power_vector(cls, p: int, level: int, vec) -> "CyclotomicElement":
         """Reduce raw exponent coefficients (any length) into an element."""
-        check_odd_prime(p)
-        if level < 0:
-            raise ValidationError(f"level must be >= 0, got {level}")
         return cls._make(p, level, reduce_power_vector(p, level, vec))
 
     # -- coercion -------------------------------------------------------

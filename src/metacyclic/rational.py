@@ -13,8 +13,12 @@ t = 0 this is the action on the character grid of
 G/G' = C_{p^(n-s)} x C_{p^m}. The acting group
 (Z/p^C)^* is cyclic for odd p, so one generator sigma_g reaches every
 conjugate: each class is walked as one cycle of sigma_g, one image per
-character. Agreement with the value-level action is checked at oracle scale
-in verify.py.
+character. The action is applied to the whole list in one pass (`_codes`),
+which gives every character and its image as integer codes; the walk then
+runs on positions in the sorted list. `sigma_on_character` decodes the same
+pass for one character, so there is one statement of the action, and its
+agreement with the value-level action is checked at oracle scale in
+verify.py.
 """
 
 from __future__ import annotations
@@ -68,16 +72,48 @@ def character_field_level(ch: IrreducibleCharacter, params: GroupParams) -> int:
     )
 
 
+def _codes(
+    chars: list[IrreducibleCharacter], alpha: int, params: GroupParams
+) -> tuple[list[int], list[int]]:
+    """The code of every character and of its image under sigma_alpha, in
+    one pass over `chars` (gcd(alpha, p) = 1).
+
+    sigma_alpha keeps t and the degree, sends l to
+    canonical_orbit_label(alpha l) and u to alpha u mod p^(m-t). The code of
+    (t, l, u, degree) is ((degree (m+1) + t) p^(n-s) + l) p^m + u, one
+    integer, injective on tuples with 0 <= t <= m, 0 <= l < p^(n-s) and
+    0 <= u < p^m: the ranges every image lies in. Label and modulus are computed once per run
+    of equal (t, l, degree), which is one orbit's worth of u in tuple order.
+    """
+    p, m = params.p, params.m
+    if gcd(alpha, p) != 1:
+        raise ValidationError(f"alpha={alpha} is divisible by p={p}")
+    qd, qb = p ** (params.n - params.s), p ** m
+    codes: list[int] = []
+    images: list[int] = []
+    run = None
+    for t, l, u, degree in chars:
+        if run != (t, l, degree):
+            run = (t, l, degree)
+            top = (degree * (m + 1) + t) * qd
+            head = (top + l) * qb
+            image_head = (top + canonical_orbit_label(params, alpha * l)) * qb
+            modulus = p ** (m - t)
+        codes.append(head + u)
+        images.append(image_head + alpha * u % modulus)
+    return codes, images
+
+
 def sigma_on_character(
     ch: IrreducibleCharacter, alpha: int, params: GroupParams
 ) -> IrreducibleCharacter:
-    """The parameter-tuple form of psi^sigma_alpha (gcd(alpha, p) = 1)."""
-    p = params.p
-    if gcd(alpha, p) != 1:
-        raise ValidationError(f"alpha={alpha} is divisible by p={p}")
-    t = ch.t
-    label = canonical_orbit_label(params, alpha * ch.l)
-    return IrreducibleCharacter(t, label, alpha * ch.u % p ** (params.m - t), ch.degree)
+    """The parameter-tuple form of psi^sigma_alpha (gcd(alpha, p) = 1),
+    decoded from the image code that `_codes` gives ch."""
+    (code,) = _codes([ch], alpha, params)[1]
+    rest, u = divmod(code, params.p ** params.m)
+    rest, l = divmod(rest, params.p ** (params.n - params.s))
+    degree, t = divmod(rest, params.m + 1)
+    return IrreducibleCharacter(t, l, u, degree)
 
 
 def galois_classes(
@@ -91,42 +127,50 @@ def galois_classes(
     degree^2 must be |G|) and duplicates. Every image must lie in the list,
     a walk may take at most phi(p^C) steps, and every class size is checked
     against phi(p^L) of its field level, which is what the class size must be.
+
+    The walk runs on positions in the sorted list: `_codes` gives every
+    character's code and its image's code in one pass, one dict turns codes
+    into positions, and a bytearray marks the positions already classed.
     """
     if sum(ch.degree ** 2 for ch in chars) != params.order:
         raise ValidationError("character list is incomplete: sum(deg^2) != |G|")
-    pool = {ch: ch for ch in chars}  # images resolve to the listed objects
-    if len(pool) != len(chars):
-        raise ValidationError("character list contains duplicates")
+    listed = sorted(chars)
     level_c = max(params.n, params.m)
-    g = unit_group_generator(params.p, level_c)
+    codes, images = _codes(listed, unit_group_generator(params.p, level_c), params)
+    position = dict(zip(codes, range(len(listed))))
+    if len(position) != len(listed):
+        raise ValidationError("character list contains duplicates")
+    successor = list(map(position.get, images))
+    if None in successor:
+        raise InternalInconsistencyError(
+            "Galois image escapes the enumerated character list"
+        )
     max_steps = phi_pk(params.p, level_c)
-    seen: set[IrreducibleCharacter] = set()
+    seen = bytearray(len(listed))
     classes: list[GaloisClass] = []
-    for ch in sorted(chars):
-        if ch in seen:
-            continue
-        orbit = [ch]
-        image = sigma_on_character(ch, g, params)
-        while image != ch:
-            member = pool.get(image)
-            if member is None:
-                raise InternalInconsistencyError(
-                    "Galois image escapes the enumerated character list"
-                )
-            if len(orbit) == max_steps:
-                raise InternalInconsistencyError(
-                    f"Galois walk from {ch} exceeds phi(p^{level_c}) steps"
-                )
-            orbit.append(member)
-            image = sigma_on_character(member, g, params)
-        members = tuple(sorted(orbit))
-        seen.update(orbit)
+    start = seen.find(0)
+    while start >= 0:
+        cycle = []
+        k = start
+        for _ in range(max_steps):
+            cycle.append(k)
+            seen[k] = 1
+            k = successor[k]
+            if k == start:
+                break
+        else:
+            raise InternalInconsistencyError(
+                f"Galois walk from {listed[start]} exceeds phi(p^{level_c}) steps"
+            )
+        cycle.sort()
+        members = tuple(map(listed.__getitem__, cycle))
         level = character_field_level(members[0], params)
         if len(members) != phi_pk(params.p, level):
             raise InternalInconsistencyError(
                 f"class size {len(members)} != phi(p^{level})"
             )
         classes.append(GaloisClass(members, level))
+        start = seen.find(0, start + 1)
     return classes
 
 

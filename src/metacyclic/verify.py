@@ -55,9 +55,9 @@ from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
 
+from . import cyclotomic
 from .components import WedderburnDecomposition
 from .complex_reps import IrreducibleCharacter, character_value, enumerate_irreducibles
-from .cyclotomic import CyclotomicElement, reduce_power_vector, root_power
 from .formulas import (
     complex_counts_closed_form,
     rational_counts_closed_form,
@@ -214,12 +214,12 @@ class MonomialMatrix(NamedTuple):
             e >>= 1
         return acc
 
-    def to_dense(self, p: int, level: int) -> list[list[CyclotomicElement]]:
+    def to_dense(self, p: int, level: int) -> list[list[cyclotomic.CyclotomicElement]]:
         d = len(self.perm)
-        zero = CyclotomicElement.rational(p, 0)
+        zero = cyclotomic.CyclotomicElement.rational(p, 0)
         out = [[zero] * d for _ in range(d)]
         for c in range(d):
-            out[c][self.perm[c]] = root_power(p, level, self.exps[c])
+            out[c][self.perm[c]] = cyclotomic.root_power(p, level, self.exps[c])
         return out
 
 
@@ -409,7 +409,7 @@ class DeepChecker:
         for (_, size), e1, e2 in zip(self.class_index[1], self.row(x), self.row(y)):
             if e1 is not None and e2 is not None:
                 acc[(e1 - e2) % qc] += coeff * size
-        return reduce_power_vector(params.p, ambient_level(params), acc)
+        return cyclotomic.reduce_power_vector(params.p, ambient_level(params), acc)
 
     def _pair_orthogonal(self, x: int, y: int) -> bool:
         reduced = self._inner_product(x, y)
@@ -530,7 +530,7 @@ class DeepChecker:
                 vec[(i * a_mat.exps[c] + bj.exps[c]) % qc] += 1
             if expected is not None:
                 vec[expected] -= degree
-            if any(reduce_power_vector(p, level, vec)):
+            if any(cyclotomic.reduce_power_vector(p, level, vec)):
                 return False
         return True
 
@@ -548,7 +548,8 @@ class DeepChecker:
             ch = self.chars[k]
             slow = character_value(ch, GroupElement(i, j), params)
             e = self.row(k)[class_of[i * qb + j]]
-            fast = 0 if e is None else ch.degree * root_power(params.p, level, e)
+            fast = 0 if e is None else ch.degree * cyclotomic.root_power(
+                params.p, level, e)
             if slow != fast:
                 return CheckResult(
                     "value_agreement", False, f"char {k} at ({i}, {j})"

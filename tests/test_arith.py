@@ -144,7 +144,8 @@ def test_check_odd_prime_is_the_one_odd_prime_check(monkeypatch):
     from metacyclic import arith
     from metacyclic.arith import check_odd_prime
     from metacyclic.cli import parse_decomposition
-    from metacyclic.cyclotomic import CyclotomicElement, root_power
+    from metacyclic.components import assemble_components
+    from metacyclic.cyclotomic import CyclotomicElement, reduce_power_vector, root_power
     from metacyclic.group import from_s, valid_parameter_sets, validate
 
     def entry_points(p):
@@ -160,6 +161,8 @@ def test_check_odd_prime_is_the_one_odd_prime_check(monkeypatch):
             lambda: CyclotomicElement.rational(p, 0),
             lambda: CyclotomicElement.from_power_vector(p, 1, [1]),
             lambda: root_power(p, 1, 0),
+            lambda: reduce_power_vector(p, 1, [1, 2]),
+            lambda: assemble_components(p, [(1, 0, 1)]),
             lambda: parse_decomposition("Q + 4*Q(z3)", p),
         )
 

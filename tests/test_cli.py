@@ -318,15 +318,15 @@ def state():
     return {
         "executed": [name for name in oracle
                      if type(sys.modules["metacyclic." + name]) is types.ModuleType],
-        "stdlib": [name for name in ("fractions", "cmath", "dataclasses", "inspect")
+        "stdlib": [name for name in ("fractions", "decimal", "cmath", "dataclasses", "inspect")
                    if name in sys.modules],
     }
 
-closed = [run(argv) for argv in json.loads(sys.argv[1])]
-after_closed = state()
-oracle = [run(argv) for argv in json.loads(sys.argv[2])]
-print(json.dumps({"listed": listed, "closed": closed, "after_closed": after_closed,
-                  "oracle": oracle, "after_oracle": state()}))
+doc = {"listed": listed}
+for phase, argvs in zip(("closed", "oracle", "deep"), sys.argv[1:]):
+    doc[phase] = [run(argv) for argv in json.loads(argvs)]
+    doc["after_" + phase] = state()
+print(json.dumps(doc))
 """
 
 CLOSED_FORM_COMMANDS = [
@@ -351,12 +351,17 @@ COUNTS_ORACLE = (
 
 
 def test_closed_form_commands_execute_no_oracle_module():
+    # three phases in one interpreter: closed-form commands run no oracle
+    # module; oracle commands that evaluate no character leave `cyclotomic`
+    # unexecuted (and `fractions` unloaded); `--deep` evaluates characters
+    oracle = ["verify --p 3 --all --max-order 243", COUNTS_ORACLE[0],
+              "counts --p 3 --n 4 --m 2 --r 10 --kind complex --oracle"]
     deep = "verify --p 3 --n 2 --m 2 --r 4 --deep"
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_GRAPH_SCRIPT,
-         json.dumps(CLOSED_FORM_COMMANDS), json.dumps([deep, COUNTS_ORACLE[0]])],
+         json.dumps(CLOSED_FORM_COMMANDS), json.dumps(oracle), json.dumps([deep])],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -365,13 +370,23 @@ def test_closed_form_commands_execute_no_oracle_module():
     assert [code for code, _, _ in doc["closed"]] == [0, 0, 0, 0, 0, 2]
     assert doc["closed"][0][1] == GOLDEN[(3, 4, 2, 10)] + "\n"
     assert doc["after_closed"] == {"executed": [], "stdlib": []}
-    (deep_code, deep_out, deep_err), counts = doc["oracle"]
+    (all_code, all_out, all_err), counts, complex_counts = doc["oracle"]
+    assert (all_code, all_err) == (0, "")
+    assert all_out and all(
+        line.startswith("VERIFIED ") for line in all_out.splitlines()
+    )
+    assert counts == [0, COUNTS_ORACLE[1], ""]
+    assert complex_counts[0] == 0 and complex_counts[1].endswith("total 105\n")
+    assert doc["after_oracle"] == {
+        "executed": ["complex_reps", "rational", "verify"],
+        "stdlib": [],
+    }
+    [(deep_code, deep_out, deep_err)] = doc["deep"]
     assert (deep_code, deep_err) == (0, DEEP_REPORTS[deep])
     assert deep_out.startswith("VERIFIED p=3 n=2 m=2 s=1 r=4 |G|=81: ")
-    assert counts == [0, COUNTS_ORACLE[1], ""]
-    assert doc["after_oracle"] == {
+    assert doc["after_deep"] == {
         "executed": ["cyclotomic", "complex_reps", "rational", "verify"],
-        "stdlib": ["fractions", "cmath"],
+        "stdlib": ["fractions", "decimal", "cmath"],
     }
 
 

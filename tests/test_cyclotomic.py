@@ -228,3 +228,17 @@ def test_immutable_and_round_trips_through_pickle_and_deepcopy():
         assert (y.p, y.level, y.coeffs) == (x.p, x.level, x.coeffs)
         assert y == x and hash(y) == hash(x)
         assert all(type(c) is Fraction for c in y.coeffs)
+
+
+def test_reduce_power_vector_checks_level_before_allocating():
+    from metacyclic.cyclotomic import reduce_power_vector
+
+    assert reduce_power_vector(3, 1, [1, 2, 3]) == [-2, -1]
+    for call in (
+        lambda: reduce_power_vector(3, -1, [1]),
+        lambda: CyclotomicElement.from_power_vector(3, -1, [1]),
+        lambda: root_power(3, -1, 0),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == "level must be >= 0, got -1"

@@ -235,19 +235,56 @@ def test_generator_walk_equals_all_units_classes():
 def test_broken_action_is_rejected_quickly(monkeypatch, escape):
     params = validate(3, 4, 2, 10)
     chars = enumerate_irreducibles(params)
-    outside = IrreducibleCharacter(0, -1, 0, 1)
-
+    real_codes = rational._codes
     calls = []
 
-    def broken(ch, alpha, params):
-        # leaves the list, or sticks at chars[1] and never returns to chars[0]
-        calls.append(ch)
-        if len(calls) > 10 ** 4:
-            raise RuntimeError("the walk was not stopped")
-        return outside if escape else chars[1]
+    def broken(chars, alpha, params):
+        # every image leaves the list, or sticks at chars[1] and never
+        # returns to chars[0]
+        calls.append(alpha)
+        codes, _ = real_codes(chars, alpha, params)
+        return codes, [-1 if escape else codes[1]] * len(codes)
 
-    monkeypatch.setattr(rational, "sigma_on_character", broken)
+    monkeypatch.setattr(rational, "_codes", broken)
     start = time.perf_counter()
-    with pytest.raises(InternalInconsistencyError):
+    with pytest.raises(InternalInconsistencyError) as exc:
         galois_classes(chars, params)
     assert time.perf_counter() - start < 2
+    assert len(calls) == 1  # one bulk pass: the walk applies no action itself
+    assert ("escapes" if escape else "exceeds phi(p^4) steps") in str(exc.value)
+
+
+def test_galois_classes_reject_duplicates():
+    # a copy of another character of the same degree keeps sum(deg^2) = |G|,
+    # so only the duplicates check can reject the list
+    chars = enumerate_irreducibles(G1)
+    for degree in (1, 3):
+        first, second = [k for k, ch in enumerate(chars) if ch.degree == degree][:2]
+        copied = chars[:second] + [chars[first]] + chars[second + 1:]
+        with pytest.raises(ValidationError, match="contains duplicates"):
+            galois_classes(copied, G1)
+
+
+def test_image_keeps_the_degree():
+    # swapping the degrees of a linear and a degree-3 character keeps
+    # sum(deg^2) = |G|; the images of each swapped character keep its new
+    # degree, so they are not in the list
+    chars = enumerate_irreducibles(G1)
+    k1 = next(k for k, ch in enumerate(chars) if ch.degree == 1 and ch.l == 1)
+    k3 = next(k for k, ch in enumerate(chars) if ch.degree == 3)
+    swapped = list(chars)
+    swapped[k1] = chars[k1]._replace(degree=3)
+    swapped[k3] = chars[k3]._replace(degree=1)
+    with pytest.raises(InternalInconsistencyError, match="escapes"):
+        galois_classes(swapped, G1)
+
+
+def test_shuffled_input_gives_identical_classes():
+    rng = random.Random(17)
+    for params in (G1, G2, G3, validate(5, 2, 2, 6), validate(3, 2, 2, 1, abelian=True)):
+        chars = enumerate_irreducibles(params)
+        expected = galois_classes(chars, params)
+        for _ in range(3):
+            shuffled = list(chars)
+            rng.shuffle(shuffled)
+            assert galois_classes(shuffled, params) == expected
