@@ -54,12 +54,11 @@ import argparse
 import importlib.util
 import json
 import os
-import re
 import sys
 from random import Random
 
-from .arith import check_odd_prime, phi_pk
-from .components import WedderburnDecomposition, assemble_components
+from .arith import phi_pk
+from .components import WedderburnDecomposition
 from .errors import (
     InternalInconsistencyError,
     SizeBoundError,
@@ -130,51 +129,6 @@ def format_decomposition(dec: WedderburnDecomposition) -> str:
     return " + ".join(parts)
 
 
-_TERM_RE = re.compile(
-    r"^(?:(?P<mult>\d+)\*)?(?:M(?P<size>\d+)\()?Q(?:\(z(?P<zq>\d+)\))?(?P<close>\))?$"
-)
-
-
-def _exponent(text: str, p: int) -> int:
-    """e with int(text) = p^e, else ValidationError."""
-    value, exp = int(text), 0
-    while value > 1 and value % p == 0:
-        value //= p
-        exp += 1
-    if value != 1:
-        raise ValidationError(f"{text} is not a power of {p}")
-    return exp
-
-
-def parse_decomposition(line: str, p: int) -> WedderburnDecomposition:
-    """Inverse of `format_decomposition`: accepts exactly the lines it
-    prints (surrounding whitespace aside). Anything else raises
-    ValidationError, including terms that only spell a component another
-    way (`Q(z1)`, `M1(Q)`, `1*Q`, `0*Q`) and terms repeated or out of order.
-    """
-    check_odd_prime(p)
-    text = line.strip()
-    items = []
-    for term in text.split(" + "):
-        match = _TERM_RE.match(term)
-        if not match:
-            raise ValidationError(f"unparseable term {term!r}")
-        if bool(match.group("size")) != bool(match.group("close")):
-            raise ValidationError(f"unbalanced parentheses in {term!r}")
-        try:
-            size = p ** _exponent(match.group("size") or "1", p)
-            lam = _exponent(match.group("zq") or "1", p)
-            mult = int(match.group("mult") or 1)
-        except ValueError as exc:  # also int()'s limit on the number of digits
-            raise ValidationError(f"bad number in {term!r}: {exc}") from None
-        items.append((size, lam, mult))
-    dec = assemble_components(p, items)
-    canonical = format_decomposition(dec)
-    if canonical != text:
-        raise ValidationError(f"{text!r} is not canonical: it reads as {canonical!r}")
-    return dec
-
-
 def build_report(
     params: GroupParams, dec: WedderburnDecomposition, provenance: str
 ) -> dict:
@@ -240,7 +194,6 @@ def _build_parser() -> _Parser:
                      help="also run orthogonality/class-function/matrix suites")
     ver.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     ver.add_argument("--format", choices=("text", "json"), default="text")
-    ver.add_argument("--corrupt-hook", action="store_true", help=argparse.SUPPRESS)
 
     cnt = sub.add_parser("counts", help="per-degree representation counts")
     add_params(cnt, with_abelian=False)
@@ -293,24 +246,16 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _corrupted(dec: WedderburnDecomposition) -> WedderburnDecomposition:
-    first = dec.components[0]
-    bumped = first._replace(multiplicity=first.multiplicity + 1)
-    return dec._replace(components=(bumped,) + dec.components[1:])
-
-
 def _verify_one(params: GroupParams, args) -> int:
     result = verify.cross_validate(params)
-    closed = _corrupted(result.closed) if args.corrupt_hook else result.closed
-    diff = verify.diff_components(closed, result.oracle)
     if params.abelian:
         tag, size = f"abelian p={params.p} n={params.n} m={params.m}", ""
     else:
         tag = f"p={params.p} n={params.n} m={params.m} s={params.s} r={params.r}"
         size = f" |G|={params.order}"
-    if diff:
+    if result.diff:
         print(f"MISMATCH {tag}")
-        for line in diff:
+        for line in result.diff:
             print(f"  {line}")
         return EXIT_MISMATCH
     if args.deep:
@@ -327,9 +272,9 @@ def _verify_one(params: GroupParams, args) -> int:
                   + ", ".join(c.name for c in failures))
             return EXIT_MISMATCH
     if args.format == "json":
-        print(json.dumps(build_report(params, closed, "both (verified)")))
+        print(json.dumps(build_report(params, result.closed, "both (verified)")))
     else:
-        print(f"VERIFIED {tag}{size}: {format_decomposition(closed)}")
+        print(f"VERIFIED {tag}{size}: {format_decomposition(result.closed)}")
     return EXIT_OK
 
 

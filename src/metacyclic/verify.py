@@ -214,14 +214,6 @@ class MonomialMatrix(NamedTuple):
             e >>= 1
         return acc
 
-    def to_dense(self, p: int, level: int) -> list[list[cyclotomic.CyclotomicElement]]:
-        d = len(self.perm)
-        zero = cyclotomic.CyclotomicElement.rational(p, 0)
-        out = [[zero] * d for _ in range(d)]
-        for c in range(d):
-            out[c][self.perm[c]] = cyclotomic.root_power(p, level, self.exps[c])
-        return out
-
 
 def monomial_generators(
     ch: IrreducibleCharacter, params: GroupParams
@@ -449,7 +441,8 @@ class DeepChecker:
         """Parameter-level Galois action == value-level action: the image
         character's value at every class representative is sigma_alpha of
         the original value. Every character for every unit alpha for |G| <=
-        EXHAUSTIVE_ORDER_BOUND, else GALOIS_SAMPLES random pairs."""
+        EXHAUSTIVE_ORDER_BOUND, else GALOIS_SAMPLES random pairs. An image
+        outside the character list fails the check."""
         params = self.params
         qc = params.p ** ambient_level(params)
         units = [a for a in range(1, qc) if a % params.p]
@@ -464,9 +457,9 @@ class DeepChecker:
                 for _ in range(GALOIS_SAMPLES)
             ]
         for k, alpha in work:
-            image = sigma_on_character(self.chars[k], alpha, params)
+            image = index.get(sigma_on_character(self.chars[k], alpha, params))
             scaled = [None if e is None else e * alpha % qc for e in self.row(k)]
-            if scaled != self.row(index[image]):
+            if image is None or scaled != self.row(image):
                 return CheckResult(
                     "galois_action", False, f"char {k} alpha {alpha}"
                 )

@@ -64,39 +64,6 @@ def test_json_round_trip():
         assert format_decomposition(dec) + "\n" == text.stdout
 
 
-def test_text_grammar_round_trip():
-    from metacyclic.cli import format_decomposition, parse_decomposition
-    from metacyclic.formulas import wedderburn_closed_form
-    from metacyclic.group import validate
-    from metacyclic.group import valid_parameter_sets
-
-    for params in valid_parameter_sets(3, 729):
-        dec = wedderburn_closed_form(params)
-        line = format_decomposition(dec)
-        assert parse_decomposition(line, params.p) == dec
-    abelian = validate(3, 2, 2, 1, abelian=True)
-    dec = wedderburn_closed_form(abelian)
-    assert parse_decomposition(format_decomposition(dec), 3) == dec
-
-
-NON_CANONICAL = ("Q(z0)", "Q(z1)", "M1(Q)", "1*Q", "0*Q", "Q + Q", "4*Q(z3) + Q",
-                 "Q(z" + "9" * 5000 + ")")
-
-
-def test_parse_decomposition_accepts_only_canonical_lines():
-    from metacyclic.cli import format_decomposition, parse_decomposition
-    from metacyclic.errors import ValidationError
-
-    for (p, _, _, _), line in GOLDEN.items():
-        assert format_decomposition(parse_decomposition(line, p)) == line
-    for line in NON_CANONICAL:
-        with pytest.raises(ValidationError):
-            parse_decomposition(line, 3)
-    for p in (0, 1, 2, 9):  # without the check on p, p = 1 divides forever
-        with pytest.raises(ValidationError):
-            parse_decomposition("Q + 4*Q(z3)", p)
-
-
 def test_verify_command():
     proc = run_cli("verify", "--p", "3", "--n", "2", "--m", "3", "--r", "4")
     assert proc.returncode == 0
@@ -114,12 +81,11 @@ def test_verify_deep():
     assert "matrix_relations: OK" in proc.stderr
 
 
-def test_corrupt_hook_reports_mismatch():
-    proc = run_cli("verify", "--p", "3", "--n", "2", "--m", "3", "--r", "4",
-                   "--corrupt-hook")
-    assert proc.returncode == 3
-    assert "MISMATCH" in proc.stdout
-    assert "closed=" in proc.stdout and "oracle=" in proc.stdout
+def test_corrupt_hook_reports_mismatch(capsys, corrupted_closed_form):
+    code, out, _ = run_main(capsys, "verify --p 3 --n 2 --m 3 --r 4")
+    assert code == 3
+    assert "MISMATCH" in out
+    assert "closed=" in out and "oracle=" in out
 
 
 def test_exit_codes():
@@ -439,6 +405,18 @@ def test_verify_deep_report_pinned(capsys):
         assert code == 0
         assert out.startswith("VERIFIED ")
         assert err == report
+
+
+def test_verify_deep_failure_reports_and_exits_3(capsys, escaping_galois_image):
+    # a failed deep check is a mismatch (exit 3) after the full report
+    code, out, err = run_main(capsys, "verify --p 3 --n 2 --m 1 --r 4 --deep")
+    assert code == 3
+    assert out == "MISMATCH p=3 n=2 m=1 s=1 r=4 deep checks failed: galois_action\n"
+    lines = err.splitlines()
+    assert len(lines) == 8 and all(line.startswith("deep ") for line in lines)
+    statuses = [line.split(": ", 1)[1].split()[0] for line in lines]
+    assert statuses == ["OK", "OK", "OK", "FAIL", "OK", "OK", "OK", "OK"]
+    assert "galois_action: FAIL" in lines[3]
 
 
 def test_unexpected_exception_exits_5_without_traceback(capsys, monkeypatch):

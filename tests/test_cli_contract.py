@@ -4,7 +4,8 @@ Each case runs `cli.main(argv)` in process. The expected stdout and exit
 codes were recorded before the verify, counts and validation paths were
 merged, so any change here is a change of the documented contract: every
 subcommand and output format, `verify --abelian`, `--deep`, `--all`,
-`--corrupt-hook`, `--oracle` columns, and exit codes 1-4.
+`--oracle` columns, and exit codes 1-4. The mismatch rows run under the
+patched closed form (the `corrupted_closed_form` fixture).
 """
 
 import pytest
@@ -92,14 +93,6 @@ CONTRACT = [
         ),
     ),
     (
-        "verify --p 3 --n 2 --m 3 --r 4 --corrupt-hook",
-        3,
-        (
-            "MISMATCH p=3 n=2 m=3 s=1 r=4\n"
-            "  q=1 lambda=0: closed=2 oracle=1\n"
-        ),
-    ),
-    (
         "verify --p 3 --all --max-order 243",
         0,
         (
@@ -133,26 +126,6 @@ CONTRACT = [
         ),
     ),
     (
-        "verify --p 3 --all --max-order 243 --corrupt-hook",
-        3,
-        (
-            "MISMATCH p=3 n=2 m=1 s=1 r=4\n"
-            "  q=1 lambda=0: closed=2 oracle=1\n"
-            "MISMATCH p=3 n=2 m=2 s=1 r=4\n"
-            "  q=1 lambda=0: closed=2 oracle=1\n"
-            "MISMATCH p=3 n=3 m=1 s=1 r=10\n"
-            "  q=1 lambda=0: closed=2 oracle=1\n"
-            "MISMATCH p=3 n=2 m=3 s=1 r=4\n"
-            "  q=1 lambda=0: closed=2 oracle=1\n"
-            "MISMATCH p=3 n=3 m=2 s=1 r=10\n"
-            "  q=1 lambda=0: closed=2 oracle=1\n"
-            "MISMATCH p=3 n=3 m=2 s=2 r=4\n"
-            "  q=1 lambda=0: closed=2 oracle=1\n"
-            "MISMATCH p=3 n=4 m=1 s=1 r=28\n"
-            "  q=1 lambda=0: closed=2 oracle=1\n"
-        ),
-    ),
-    (
         "verify --p 3 --n 2 --m 2 --abelian",
         0,
         "VERIFIED abelian p=3 n=2 m=2: Q + 4*Q(z3) + 12*Q(z9)\n",
@@ -161,14 +134,6 @@ CONTRACT = [
         "verify --p 3 --n 2 --m 2 --s 0",
         0,
         "VERIFIED abelian p=3 n=2 m=2: Q + 4*Q(z3) + 12*Q(z9)\n",
-    ),
-    (
-        "verify --p 3 --n 2 --m 2 --abelian --corrupt-hook",
-        3,
-        (
-            "MISMATCH abelian p=3 n=2 m=2\n"
-            "  q=1 lambda=0: closed=2 oracle=1\n"
-        ),
     ),
     (
         "verify --p 5 --n 0 --m 3 --abelian",
@@ -292,6 +257,8 @@ CONTRACT = [
     ("verify --p 3 --n 2", 1, ""),
     ("verify --p 3 --all", 1, ""),
     ("verify --p 3 --n 2 --m 2", 1, ""),
+    # the closed form's mismatch paths are reached by patching, not by a flag
+    ("verify --p 3 --n 2 --m 3 --r 4 --corrupt-hook", 1, ""),
     ("counts --p 3 --n 2 --m 2 --r 4 --abelian --kind complex", 1, ""),
     ("decompose --p 4 --n 2 --m 1 --r 3", 2, ""),
     ("decompose --p 2 --n 2 --m 1 --r 3", 2, ""),
@@ -317,7 +284,94 @@ CONTRACT = [
 ]
 
 
+# Run with the `corrupted_closed_form` fixture: the closed form that
+# `verify` compares against the oracle has one more copy of its first
+# component, so every group mismatches.
+PATCHED_CONTRACT = [
+    (
+        "verify --p 3 --n 2 --m 3 --r 4",
+        3,
+        (
+            "MISMATCH p=3 n=2 m=3 s=1 r=4\n"
+            "  q=1 lambda=0: closed=2 oracle=1\n"
+        ),
+    ),
+    (
+        "verify --p 3 --all --max-order 243",
+        3,
+        (
+            "MISMATCH p=3 n=2 m=1 s=1 r=4\n"
+            "  q=1 lambda=0: closed=2 oracle=1\n"
+            "MISMATCH p=3 n=2 m=2 s=1 r=4\n"
+            "  q=1 lambda=0: closed=2 oracle=1\n"
+            "MISMATCH p=3 n=3 m=1 s=1 r=10\n"
+            "  q=1 lambda=0: closed=2 oracle=1\n"
+            "MISMATCH p=3 n=2 m=3 s=1 r=4\n"
+            "  q=1 lambda=0: closed=2 oracle=1\n"
+            "MISMATCH p=3 n=3 m=2 s=1 r=10\n"
+            "  q=1 lambda=0: closed=2 oracle=1\n"
+            "MISMATCH p=3 n=3 m=2 s=2 r=4\n"
+            "  q=1 lambda=0: closed=2 oracle=1\n"
+            "MISMATCH p=3 n=4 m=1 s=1 r=28\n"
+            "  q=1 lambda=0: closed=2 oracle=1\n"
+        ),
+    ),
+    (
+        "verify --p 3 --n 2 --m 2 --abelian",
+        3,
+        (
+            "MISMATCH abelian p=3 n=2 m=2\n"
+            "  q=1 lambda=0: closed=2 oracle=1\n"
+        ),
+    ),
+    (
+        "verify --p 3 --n 2 --m 3 --r 4 --format json",
+        3,
+        (
+            "MISMATCH p=3 n=2 m=3 s=1 r=4\n"
+            "  q=1 lambda=0: closed=2 oracle=1\n"
+        ),
+    ),
+    # no deep check starts after a mismatch
+    (
+        "verify --p 3 --n 2 --m 1 --r 4 --deep",
+        3,
+        (
+            "MISMATCH p=3 n=2 m=1 s=1 r=4\n"
+            "  q=1 lambda=0: closed=2 oracle=1\n"
+        ),
+    ),
+    # the row's own closed form is unpatched, so dim_ok stays True
+    (
+        "sweep --p 3 --max-order 81 --oracle --threads 1",
+        3,
+        (
+            "p=3 n=2 m=1 s=1 r=4 order=27 components=3 dim_ok=True oracle_match=False\n"
+            "p=3 n=2 m=2 s=1 r=4 order=81 components=4 dim_ok=True oracle_match=False\n"
+            "p=3 n=3 m=1 s=1 r=10 order=81 components=4 dim_ok=True oracle_match=False\n"
+        ),
+    ),
+]
+
+
 @pytest.mark.parametrize("argv, code, stdout", CONTRACT, ids=[c[0] for c in CONTRACT])
 def test_cli_contract(argv, code, stdout, capsys):
     assert cli.main(argv.split()) == code
     assert capsys.readouterr().out == stdout
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout", PATCHED_CONTRACT, ids=[c[0] for c in PATCHED_CONTRACT]
+)
+def test_cli_contract_patched_closed_form(argv, code, stdout, capsys, corrupted_closed_form):
+    assert cli.main(argv.split()) == code
+    assert capsys.readouterr().out == stdout
+
+
+def test_mismatch_stderr_under_patched_closed_form(capsys, corrupted_closed_form):
+    # `--threads 1`: a patch does not reach pool workers under a non-fork
+    # start method
+    assert cli.main("sweep --p 3 --max-order 81 --oracle --threads 1".split()) == 3
+    assert capsys.readouterr().err == "3 rows mismatched the oracle\n"
+    assert cli.main("verify --p 3 --n 2 --m 1 --r 4 --deep".split()) == 3
+    assert capsys.readouterr().err == ""

@@ -4,9 +4,10 @@ Valid parameter tuples (twists with k != 1 and unreduced r, `--s`, abelian
 groups by `--abelian` or `--s 0`) are mixed with malformed ones: tokens
 replaced by bad values, dropped, or joined by stray flags. Every exit code
 must be documented (0-5), stderr must never carry a traceback or an
-"internal error" line, a `decompose` that succeeds must print a canonical
-decomposition of dimension |G|, and a `counts --kind complex` that succeeds
-must print a table with sum(degree^2 * count) = |G|. The loop stops after
+"internal error" line, a `decompose` that succeeds must print a
+decomposition of dimension |G| (a text line prints the components of the
+same command's JSON document), and a `counts --kind complex` that
+succeeds must print a table with sum(degree^2 * count) = |G|. The loop stops after
 CASES commands or BUDGET_S seconds, whichever comes first. `--threads` is never passed, so `sweep` keeps its
 single worker and the fuzz starts no process.
 """
@@ -16,6 +17,7 @@ import time
 from random import Random
 
 from metacyclic import cli
+from metacyclic.components import assemble_components
 
 SEED = 20240
 CASES = 400
@@ -87,17 +89,21 @@ def _group_of(argv: list[str]) -> tuple[int, int]:
     return p, p ** (values["--n"] + values["--m"])
 
 
-def _check_decompose(argv: list[str], out: str) -> None:
-    """The output, text or JSON, is a canonical decomposition of dimension
-    |G|."""
+def _check_decompose(argv: list[str], out: str, capsys) -> None:
+    """The JSON document's components assemble to a decomposition of
+    dimension |G|, and a text line prints exactly those components: the
+    same argv is re-run with `--format json` appended."""
     p, order = _group_of(argv)
-    if out.startswith("{"):
-        doc = json.loads(out)
-        assert (doc["p"], doc["order"]) == (p, order), argv
-        out = cli.format_decomposition(cli.assemble_components(
-            p, [(c["q"], c["lambda"], c["mult"]) for c in doc["components"]]
-        ))
-    assert cli.parse_decomposition(out, p).dimension() == order, argv
+    text = None if out.startswith("{") else out
+    if text is not None:
+        assert cli.main(argv + ["--format", "json"]) == 0, argv
+        out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert (doc["p"], doc["order"]) == (p, order), argv
+    dec = assemble_components(p, [(c["q"], c["lambda"], c["mult"]) for c in doc["components"]])
+    assert dec.dimension() == order, argv
+    if text is not None:
+        assert cli.format_decomposition(dec) + "\n" == text, argv
 
 
 def _check_complex_counts(argv: list[str], out: str) -> None:
@@ -128,7 +134,7 @@ def test_cli_fuzz(capsys):
         assert code in range(6), (argv, code)
         assert "Traceback" not in err and "internal error" not in err, (argv, err)
         if code == 0 and argv[0] == "decompose":
-            _check_decompose(argv, out)
+            _check_decompose(argv, out, capsys)
         kinds = [value for flag, value in zip(argv, argv[1:]) if flag == "--kind"]
         if code == 0 and argv[0] == "counts" and kinds[-1] == "complex":
             _check_complex_counts(argv, out)

@@ -195,11 +195,21 @@ def trace(mat, p):
     return total
 
 
+def to_dense(mat, p, level):
+    """The d x d matrix of a `MonomialMatrix`: row c holds zeta^exps[c] at
+    column perm[c] and zeros elsewhere."""
+    d = len(mat.perm)
+    out = [[CyclotomicElement.rational(p, 0)] * d for _ in range(d)]
+    for c in range(d):
+        out[c][mat.perm[c]] = root_power(p, level, mat.exps[c])
+    return out
+
+
 def dense_generators(ch, params):
     """Dense images of a and b: `monomial_generators` expanded entry by entry."""
     level = ambient_level(params)
     a_mat, b_mat = monomial_generators(ch, params)
-    return a_mat.to_dense(params.p, level), b_mat.to_dense(params.p, level)
+    return to_dense(a_mat, params.p, level), to_dense(b_mat, params.p, level)
 
 
 def test_materialized_matrices_satisfy_relations():

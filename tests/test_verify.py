@@ -167,16 +167,22 @@ def test_galois_action_check_is_not_vacuous():
     assert result.detail.startswith("char ")
 
 
-def test_decomposition_check_detects_corrupted_closed_form(monkeypatch):
-    params = validate(3, 2, 3, 4)
-    checker = DeepChecker(params, rng=random.Random(0))
+def test_galois_image_outside_the_list_fails_the_check(escaping_galois_image):
+    # an image that is no listed character is a failed pair, not a KeyError
+    # that would end the whole report
+    checker = DeepChecker(validate(3, 2, 1, 4), rng=random.Random(0))
+    result = checker.check_galois_action()
+    assert not result.ok
+    assert result.detail.startswith("char ")
+    results = checker.run_all()
+    assert len(results) == 8
+    assert [r.name for r in results if not r.ok] == ["galois_action"]
+
+
+def test_decomposition_check_detects_corrupted_closed_form(request):
+    checker = DeepChecker(validate(3, 2, 3, 4), rng=random.Random(0))
     assert checker.check_decomposition().ok
-    closed = verify.wedderburn_closed_form(params)
-    first = closed.components[0]
-    bumped = SimpleComponent(first.matrix_size, first.center_level,
-                             first.multiplicity + 1)
-    corrupted = WedderburnDecomposition(3, (bumped,) + closed.components[1:])
-    monkeypatch.setattr(verify, "wedderburn_closed_form", lambda params: corrupted)
+    request.getfixturevalue("corrupted_closed_form")
     result = checker.check_decomposition()
     assert not result.ok
     assert "closed=2 oracle=1" in result.detail
