@@ -2,9 +2,7 @@
 """Exact arithmetic with prime-power roots of unity.
 
 The value domain of all character computations: Q(zeta_{p^N}) in the power
-basis with rational coefficients. No floating point is involved anywhere;
-the float embedding below is only used to illustrate that the exact
-identities are not accidents of the representation.
+basis with rational coefficients. No floating point is involved anywhere.
 """
 
 from fractions import Fraction
@@ -45,8 +43,3 @@ for alpha in (2, 4, 7):
 print(f"  minimal level of z9^3: {minimal_level(z9 ** 3)} (lives in Q(zeta_3))")
 trace = root_power(3, 3, 1) + root_power(3, 3, 10) + root_power(3, 3, 19)
 print(f"  z27 + z27^10 + z27^19 = {trace!r} -> level {minimal_level(trace)}")
-
-print("\nFloat embedding (debug only) agrees with the exact results")
-print("=" * 50)
-print(f"  |(x*x).approx - x.approx^2| = "
-      f"{abs((x * x).approx_complex() - x.approx_complex() ** 2):.2e}")

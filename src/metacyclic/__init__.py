@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 
 # every public name -> the submodule that defines it
 _HOME = {
-    "multiplicative_order": "arith",
     "p_adic_valuation": "arith",
     "split_r": "arith",
     "CyclotomicElement": "cyclotomic",

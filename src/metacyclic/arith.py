@@ -1,4 +1,4 @@
-"""Number-theoretic primitives: orders, valuations, totients, r-splitting.
+"""Number-theoretic primitives: valuations, totients, unit generators, r-splitting.
 
 Everything here is exact integer arithmetic on small inputs. Trial
 division is fast enough by construction: `check_odd_prime`, the one check
@@ -8,7 +8,7 @@ on p, bounds p before `is_prime` runs, and p - 1 is factored up to its root.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import InternalInconsistencyError, SizeBoundError, ValidationError
 
@@ -61,35 +61,6 @@ def p_adic_valuation(x: int, p: int) -> int:
         x //= p
         w += 1
     return w
-
-
-def _divisors_sorted(x: int) -> list[int]:
-    out = []
-    for d in range(1, isqrt(x) + 1):
-        if x % d == 0:
-            out.append(d)
-            if d != x // d:
-                out.append(x // d)
-    return sorted(out)
-
-
-def multiplicative_order(r: int, p: int, exp: int) -> int:
-    """Least e >= 1 with r^e = 1 mod p^exp, for an odd prime p and exp >= 1.
-
-    Tries the divisors of phi(p^exp) in increasing order with exact modular
-    exponentiation; r must be a unit.
-    """
-    check_odd_prime(p)
-    if exp < 1:
-        raise ValidationError(f"exponent must be >= 1, got {exp}")
-    q = p ** exp
-    r = r % q
-    if gcd(r, p) != 1:
-        raise ValidationError(f"r={r} is not coprime to p={p}")
-    for e in _divisors_sorted(phi_pk(p, exp)):
-        if pow(r, e, q) == 1:
-            return e
-    raise InternalInconsistencyError("unit order does not divide phi(p^n)")
 
 
 @lru_cache(maxsize=64)

@@ -259,7 +259,7 @@ def _verify_one(params: GroupParams, args) -> int:
             print(f"  {line}")
         return EXIT_MISMATCH
     if args.deep:
-        checker = verify.DeepChecker(params, rng=Random(args.seed))
+        checker = verify.DeepChecker(result, rng=Random(args.seed))
         failures = []
         for check in checker.run_all():
             status = "OK" if check.ok else "FAIL"

@@ -9,12 +9,11 @@ i.e. Phi_{p^N}(zeta) = 0. Level 0 means a plain rational. Arithmetic coerces
 levels implicitly via zeta_{p^a} = zeta_{p^b}^{p^(b-a)} and never rounds;
 the reduced coefficient vector is a canonical form, so equality (after
 common-level coercion) is coefficient-wise. Nothing here touches floating
-point except the optional debug embedding `approx_complex`.
+point.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import gcd
 
@@ -189,10 +188,6 @@ class CyclotomicElement:
             e >>= 1
         return result
 
-    def conjugate(self) -> "CyclotomicElement":
-        """Complex conjugation = the Galois automorphism zeta -> zeta^-1."""
-        return galois_apply(self, -1)
-
     # -- structure ------------------------------------------------------
 
     def normalized(self) -> "CyclotomicElement":
@@ -203,14 +198,6 @@ class CyclotomicElement:
         scale = self.p ** (self.level - target)
         coeffs = [self.coeffs[i * scale] for i in range(phi_pk(self.p, target))]
         return CyclotomicElement._make(self.p, target, coeffs)
-
-    def approx_complex(self) -> complex:
-        """Float embedding zeta -> exp(2 pi i / p^level); debugging only."""
-        q = self.p ** self.level
-        return sum(
-            complex(c) * cmath.exp(2j * cmath.pi * e / q)
-            for e, c in enumerate(self.coeffs)
-        )
 
     # -- comparison -----------------------------------------------------
 

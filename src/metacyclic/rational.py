@@ -26,7 +26,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .arith import p_adic_valuation, phi_pk, unit_group_generator
+from .arith import phi_pk, unit_group_generator
 from .complex_reps import IrreducibleCharacter, canonical_orbit_label
 from .components import WedderburnDecomposition, assemble_components
 from .errors import InternalInconsistencyError, ValidationError
@@ -53,9 +53,13 @@ class GaloisClass(NamedTuple):
 
 
 def _exact_level(x: int, e: int, p: int) -> int:
-    """Level L with zeta_{p^e}^x of exact order p^L."""
-    x %= p ** e
-    return 0 if x == 0 else e - p_adic_valuation(x, p)
+    """Level L with zeta_{p^e}^x of exact order p^L: the number of times x
+    is multiplied by p to reach 0 mod p^e."""
+    q, level = p ** e, 0
+    x %= q
+    while x:
+        x, level = x * p % q, level + 1
+    return level
 
 
 def character_field_level(ch: IrreducibleCharacter, params: GroupParams) -> int:

@@ -2,10 +2,11 @@
 
 `cross_validate` runs both routes on one group of any s (s = 0 is the
 abelian group), and `diff_components` is the one comparison of their
-component multisets.
-Every oracle-side entry point (`decomposition_via_oracle`, `DeepChecker`)
-first passes `group.check_oracle_bound`, since the oracle enumerates Irr(G)
-and the deep checks walk all |G| elements.
+component multisets. `cross_validate` and `decomposition_via_oracle` run
+the oracle through `_oracle`, which passes `group.check_oracle_bound` before
+it enumerates Irr(G). `DeepChecker` deepens a `CrossCheck`: it reads the
+characters, Galois classes and component diff from it, and checks the bound
+again before it walks all |G| elements.
 
 Every irreducible psi = (t, l, u) has one monomial form (d, A, B), built
 by `monomial_form`. With C = max(n, m), d = p^t, A = l p^(s-t) p^(C-n)
@@ -79,13 +80,21 @@ from .rational import (
 )
 
 
-def decomposition_via_oracle(params: GroupParams) -> WedderburnDecomposition:
+def _oracle(
+    params: GroupParams,
+) -> tuple[list[IrreducibleCharacter], list[GaloisClass], WedderburnDecomposition]:
     """Decompose from first principles: enumerate Irr(G), class it under
-    the Galois action, and assemble one component per class."""
+    the Galois action, and assemble one component per class. Returns the
+    characters, the classes and the decomposition."""
     check_oracle_bound(params)
     chars = enumerate_irreducibles(params)
     classes = galois_classes(chars, params)
-    return wedderburn_from_classes(classes, params)
+    return chars, classes, wedderburn_from_classes(classes, params)
+
+
+def decomposition_via_oracle(params: GroupParams) -> WedderburnDecomposition:
+    """The oracle's decomposition alone; the closed form does not run."""
+    return _oracle(params)[2]
 
 
 class CrossCheck(NamedTuple):
@@ -94,6 +103,8 @@ class CrossCheck(NamedTuple):
     oracle: WedderburnDecomposition
     match: bool
     diff: tuple[str, ...]
+    chars: list[IrreducibleCharacter]  # Irr(G) in enumeration order
+    classes: list[GaloisClass]
 
 
 def diff_components(
@@ -112,9 +123,9 @@ def diff_components(
 def cross_validate(params: GroupParams) -> CrossCheck:
     """Run both routes and compare the component multisets exactly."""
     closed = wedderburn_closed_form(params)
-    oracle = decomposition_via_oracle(params)
+    chars, classes, oracle = _oracle(params)
     diff = diff_components(closed, oracle)
-    return CrossCheck(params, closed, oracle, not diff, tuple(diff))
+    return CrossCheck(params, closed, oracle, not diff, tuple(diff), chars, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -256,28 +267,22 @@ class CheckResult(NamedTuple):
 
 
 class DeepChecker:
-    """Caches the per-group state (characters, classes, rows) that the
+    """Deepens one `CrossCheck`: takes its characters and Galois classes,
+    and caches the per-group state (conjugacy classes, rows) that the
     individual checks share. All checks are exact; `detail` carries the
     work counts so suite logs show what actually ran. Sampled checks draw
     from `rng`, Random(0) unless one is given."""
 
-    def __init__(self, params: GroupParams, rng: random.Random | None = None):
-        check_oracle_bound(params)
-        self.params = params
+    def __init__(self, cross: CrossCheck, rng: random.Random | None = None):
+        check_oracle_bound(cross.params)
+        self.params, self.chars, self.galois = cross.params, cross.chars, cross.classes
+        self.diff = cross.diff
         self.rng = random.Random(0) if rng is None else rng
         self._rows: dict[int, list[int | None]] = {}
 
     @cached_property
-    def chars(self) -> list[IrreducibleCharacter]:
-        return enumerate_irreducibles(self.params)
-
-    @cached_property
     def conj_classes(self) -> list[tuple[GroupElement, ...]]:
         return conjugacy_classes(self.params)
-
-    @cached_property
-    def galois(self) -> list[GaloisClass]:
-        return galois_classes(self.chars, self.params)
 
     @cached_property
     def class_index(self) -> tuple[list[int], list[tuple[int, int]]]:
@@ -561,12 +566,8 @@ class DeepChecker:
 
     def check_decomposition(self) -> CheckResult:
         """Closed-form multiset == oracle multiset (the headline identity),
-        the oracle side assembled from the cached Galois classes."""
-        diff = diff_components(
-            wedderburn_closed_form(self.params),
-            wedderburn_from_classes(self.galois, self.params),
-        )
-        return CheckResult("decomposition", not diff, "; ".join(diff))
+        as `cross_validate` compared them."""
+        return CheckResult("decomposition", not self.diff, "; ".join(self.diff))
 
     def run_all(self) -> list[CheckResult]:
         return [

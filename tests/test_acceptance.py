@@ -122,7 +122,7 @@ def test_criterion_4_complex_counts_and_classes():
             + params.p ** (params.n + params.m - params.s - 1)
             - params.p ** (params.n + params.m - 2 * params.s - 1)
         )
-        checker = DeepChecker(params, rng=random.Random(4))
+        checker = DeepChecker(cross_validate(params), rng=random.Random(4))
         by_degree = {}
         for ch in checker.chars:
             by_degree[ch.degree] = by_degree.get(ch.degree, 0) + 1
@@ -140,7 +140,7 @@ def test_criterion_4_complex_counts_and_classes():
 def test_criterion_5_orthogonality():
     all_pairs = sampled = 0
     for params in oracle_grid():
-        checker = DeepChecker(params, rng=random.Random(params.order))
+        checker = DeepChecker(cross_validate(params), rng=random.Random(params.order))
         result = checker.check_orthogonality()
         assert result.ok, (params, result.detail)
         if params.order <= 243:
@@ -155,7 +155,7 @@ def test_criterion_5_orthogonality():
 def test_criterion_6_matrix_relations():
     degrees = 0
     for params in oracle_grid():
-        checker = DeepChecker(params, rng=random.Random(6))
+        checker = DeepChecker(cross_validate(params), rng=random.Random(6))
         result = checker.check_matrix_relations()
         assert result.ok, (params, result.detail)
         degrees += params.s
@@ -188,7 +188,7 @@ def test_criterion_8_rational_counts_vs_oracle():
     findings = []
     for params in oracle_grid():
         formula = rational_counts_closed_form(params)
-        checker = DeepChecker(params, rng=random.Random(8))
+        checker = DeepChecker(cross_validate(params), rng=random.Random(8))
         oracle = checker.check_rational_counts()
         if not oracle.ok:
             findings.append(f"{params}: {oracle.detail}")
@@ -215,7 +215,7 @@ def test_criterion_5_supplement_value_level_galois():
     # parameter-level Galois action == value-level action, exhaustively on
     # groups of order <= 243 and sampled above
     for params in oracle_grid():
-        checker = DeepChecker(params, rng=random.Random(55))
+        checker = DeepChecker(cross_validate(params), rng=random.Random(55))
         result = checker.check_galois_action()
         assert result.ok, (params, result.detail)
     report("5b", "parameter-level Galois action agrees with value-level action")

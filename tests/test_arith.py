@@ -1,7 +1,6 @@
 import pytest
 
 from metacyclic.arith import (
-    multiplicative_order,
     p_adic_valuation,
     phi_pk,
     split_r,
@@ -17,39 +16,6 @@ def brute_order(r, q):
         x = x * r % q
         e += 1
     return e
-
-
-def test_prime_power_validation():
-    assert multiplicative_order(1, 3, 1) == 1
-    assert multiplicative_order(2, 3, 1) == 2
-    with pytest.raises(ValidationError):
-        multiplicative_order(1, 2, 3)
-    with pytest.raises(ValidationError):
-        multiplicative_order(1, 9, 1)
-    with pytest.raises(ValidationError):
-        multiplicative_order(1, 5, -1)
-
-
-def test_multiplicative_order_examples():
-    assert multiplicative_order(10, 3, 4) == 9
-    assert multiplicative_order(1, 3, 4) == 1
-    assert multiplicative_order(4, 3, 3) == 9
-
-
-def test_multiplicative_order_matches_brute_force():
-    for p, n in [(3, 3), (5, 2), (7, 2)]:
-        q = p ** n
-        for r in range(1, q):
-            if r % p == 0:
-                continue
-            assert multiplicative_order(r, p, n) == brute_order(r, q)
-
-
-def test_multiplicative_order_rejects_non_units():
-    with pytest.raises(ValidationError):
-        multiplicative_order(6, 3, 2)
-    with pytest.raises(ValidationError):
-        multiplicative_order(5, 3, 0)  # modulus 1: exponent < 1
 
 
 def test_p_adic_valuation():
@@ -121,21 +87,25 @@ def test_order_of_canonical_twists():
                 for k in range(1, p ** s):
                     if k % p == 0:
                         continue
-                    r = 1 + k * p ** (n - s)
-                    assert multiplicative_order(r, p, n) == p ** s
+                    r, q = 1 + k * p ** (n - s), p ** n
+                    assert pow(r, p ** s, q) == 1 != pow(r, p ** (s - 1), q)
 
 
 def test_unit_group_generator_has_full_order():
+    # g has order phi(p^exp) when g^(phi/q) != 1 mod p^exp for every prime
+    # q dividing phi(p^exp) = p^(exp-1) (p-1); every such q is at most p
     for p in (3, 5, 7, 11, 13):
         for exp in range(1, 7):
-            g = unit_group_generator(p, exp)
-            assert multiplicative_order(g, p, exp) == phi_pk(p, exp)
+            g, q, phi = unit_group_generator(p, exp), p ** exp, phi_pk(p, exp)
+            primes = [d for d in range(2, p + 1)
+                      if phi % d == 0 and all(d % e for e in range(2, d))]
+            assert primes and all(pow(g, phi // d, q) != 1 for d in primes)
     # p = 23, 47, 997, ... leave a prime factor of p - 1 above sqrt(p - 1);
     # g is the least primitive root mod p, or that root + p
     for p in (p for p in range(3, 1000) if all(p % d for d in range(2, p))):
         g = unit_group_generator(p, 2)
         least = next(x for x in range(2, p) if brute_order(x, p) == p - 1)
-        assert g % p == least and multiplicative_order(g, p, 2) == phi_pk(p, 2)
+        assert g % p == least and pow(g, p - 1, p * p) != 1
     with pytest.raises(ValidationError):
         unit_group_generator(9, 2)
 
@@ -154,7 +124,6 @@ def test_check_odd_prime_is_the_one_odd_prime_check(monkeypatch):
             lambda: from_s(p, 2, 1, 1),
             lambda: list(valid_parameter_sets(p, 10 ** 4)),
             lambda: split_r(4, p, 2),
-            lambda: multiplicative_order(1, p, 1),
             lambda: unit_group_generator(p, 1),
             lambda: p_adic_valuation(4, p),
             lambda: CyclotomicElement.rational(p, 0),

@@ -352,7 +352,7 @@ def test_closed_form_commands_execute_no_oracle_module():
     assert deep_out.startswith("VERIFIED p=3 n=2 m=2 s=1 r=4 |G|=81: ")
     assert doc["after_deep"] == {
         "executed": ["cyclotomic", "complex_reps", "rational", "verify"],
-        "stdlib": ["fractions", "decimal", "cmath"],
+        "stdlib": ["fractions", "decimal"],
     }
 
 
@@ -417,6 +417,28 @@ def test_verify_deep_failure_reports_and_exits_3(capsys, escaping_galois_image):
     statuses = [line.split(": ", 1)[1].split()[0] for line in lines]
     assert statuses == ["OK", "OK", "OK", "FAIL", "OK", "OK", "OK", "OK"]
     assert "galois_action: FAIL" in lines[3]
+
+
+def test_verify_deep_runs_each_oracle_stage_once(capsys, monkeypatch):
+    # the deep checks read Irr(G), the Galois classes and the component
+    # diff from the cross-check instead of computing them again
+    from metacyclic import verify
+    from metacyclic.group import validate
+
+    stages = ["enumerate_irreducibles", "galois_classes", "wedderburn_closed_form"]
+    calls = []
+    for name in stages:
+        def counting(*args, name=name, real=getattr(verify, name)):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, counting)
+    code, out, _ = run_main(capsys, "verify --p 3 --n 2 --m 2 --r 4 --deep")
+    assert code == 0 and out.startswith("VERIFIED ")
+    assert sorted(calls) == stages
+    cross = verify.cross_validate(validate(3, 2, 2, 4))
+    checker = verify.DeepChecker(cross)
+    assert checker.chars is cross.chars and checker.galois is cross.classes
 
 
 def test_unexpected_exception_exits_5_without_traceback(capsys, monkeypatch):

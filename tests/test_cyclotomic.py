@@ -148,16 +148,6 @@ def test_relative_orbit_trace_drops_level():
     assert minimal_level(total) == 0
 
 
-def test_float_embedding_tracks_exact_arithmetic():
-    rng = random.Random(99)
-    for _ in range(20):
-        x = random_element(rng, 3)
-        y = random_element(rng, 3)
-        exact = (x * y).approx_complex()
-        floated = x.approx_complex() * y.approx_complex()
-        assert abs(exact - floated) < 1e-6
-
-
 def test_orbit_sums_vanish_small():
     # sum_{i<p^S} zeta^((1+k p^(M-S))^i) = 0, element-by-element route
     for p in (3, 5):

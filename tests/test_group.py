@@ -80,10 +80,12 @@ def test_oracle_bound_is_one_check():
 
     check_oracle_bound(from_s(3, 7, 1, 1))  # 3^8 <= 10^4
     big = from_s(3, 8, 1, 1)  # 3^9 > 10^4
-    for call in (check_oracle_bound, conjugacy_classes,
-                 decomposition_via_oracle, cross_validate, DeepChecker):
+    small = cross_validate(from_s(3, 2, 1, 1))
+    for call, arg in ((check_oracle_bound, big), (conjugacy_classes, big),
+                      (decomposition_via_oracle, big), (cross_validate, big),
+                      (DeepChecker, small._replace(params=big))):
         with pytest.raises(SizeBoundError) as exc:
-            call(big)
+            call(arg)
         assert str(exc.value) == "|G| = 19683 exceeds the oracle bound 10000"
 
 

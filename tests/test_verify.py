@@ -87,7 +87,7 @@ def test_general_oracle_on_every_small_abelian_group():
 @pytest.mark.parametrize("p, n, m", [(3, 1, 0), (3, 2, 2), (5, 1, 1), (3, 0, 3), (7, 1, 1)])
 def test_deep_checks_pass_on_abelian_groups(p, n, m):
     # |G| <= 243: orthogonality and the Galois action run exhaustively
-    results = DeepChecker(validate(p, n, m, 1, abelian=True)).run_all()
+    results = DeepChecker(cross_validate(validate(p, n, m, 1, abelian=True))).run_all()
     assert all(r.ok for r in results), [(r.name, r.detail) for r in results if not r.ok]
 
 
@@ -131,7 +131,7 @@ def test_orthogonality_slow_route_sample():
 
 def test_deep_checker_full_suite():
     for params in (validate(3, 2, 2, 4), validate(5, 2, 1, 6)):
-        checker = DeepChecker(params, rng=random.Random(0))
+        checker = DeepChecker(cross_validate(params), rng=random.Random(0))
         results = checker.run_all()
         assert all(res.ok for res in results), [
             (res.name, res.detail) for res in results if not res.ok
@@ -147,7 +147,7 @@ def test_deep_checker_full_suite():
 def test_orthogonality_detects_corruption():
     # feed the checker a wrong row and make sure the pair sum notices
     params = validate(3, 2, 1, 4)
-    checker = DeepChecker(params, rng=random.Random(0))
+    checker = DeepChecker(cross_validate(params), rng=random.Random(0))
     assert checker._pair_orthogonal(3, 4)
     row = checker.row(3)
     row[5] = (row[5] + 1) % 9  # poison the value at one class representative
@@ -158,7 +158,7 @@ def test_galois_action_check_is_not_vacuous():
     # |G| = 27: every character under every unit; one poisoned row cell
     # breaks the pairs that read that row as source or as image
     params = validate(3, 2, 1, 4)
-    checker = DeepChecker(params, rng=random.Random(0))
+    checker = DeepChecker(cross_validate(params), rng=random.Random(0))
     assert checker.check_galois_action().ok
     row = checker.row(4)
     row[1] = (row[1] + 1) % 9
@@ -170,7 +170,7 @@ def test_galois_action_check_is_not_vacuous():
 def test_galois_image_outside_the_list_fails_the_check(escaping_galois_image):
     # an image that is no listed character is a failed pair, not a KeyError
     # that would end the whole report
-    checker = DeepChecker(validate(3, 2, 1, 4), rng=random.Random(0))
+    checker = DeepChecker(cross_validate(validate(3, 2, 1, 4)), rng=random.Random(0))
     result = checker.check_galois_action()
     assert not result.ok
     assert result.detail.startswith("char ")
@@ -180,17 +180,17 @@ def test_galois_image_outside_the_list_fails_the_check(escaping_galois_image):
 
 
 def test_decomposition_check_detects_corrupted_closed_form(request):
-    checker = DeepChecker(validate(3, 2, 3, 4), rng=random.Random(0))
-    assert checker.check_decomposition().ok
+    params = validate(3, 2, 3, 4)
+    assert DeepChecker(cross_validate(params)).check_decomposition().ok
     request.getfixturevalue("corrupted_closed_form")
-    result = checker.check_decomposition()
+    result = DeepChecker(cross_validate(params)).check_decomposition()
     assert not result.ok
     assert "closed=2 oracle=1" in result.detail
 
 
 def test_matrix_relation_check_is_not_vacuous():
     params = validate(3, 3, 2, 4)
-    checker = DeepChecker(params, rng=random.Random(0))
+    checker = DeepChecker(cross_validate(params), rng=random.Random(0))
     assert checker.check_matrix_relations().ok
     # a poisoned b matrix, and separately a poisoned row, must each
     # break the trace comparison
@@ -229,7 +229,7 @@ def _poisoned_value_table(target, poisoned):
 def test_class_function_check_is_not_vacuous(monkeypatch):
     params = validate(3, 2, 1, 4)  # |G| = 27
     qb = params.p ** params.m
-    checker = DeepChecker(params, rng=random.Random(0))
+    checker = DeepChecker(cross_validate(params), rng=random.Random(0))
     assert checker.check_class_functions().ok
     trivial = checker.chars[0]  # a value in every cell
     big = next(cls for cls in checker.conj_classes if len(cls) > 1)
@@ -250,7 +250,7 @@ def test_class_function_check_is_not_vacuous(monkeypatch):
 def test_class_rep_index_agrees_with_per_class_loop():
     for params in (validate(3, 3, 2, 7), validate(5, 2, 1, 6)):
         qb = params.p ** params.m
-        checker = DeepChecker(params, rng=random.Random(0))
+        checker = DeepChecker(cross_validate(params), rng=random.Random(0))
         classes, class_of = checker.conj_classes, checker.class_index[0]
         tables = [value_table(ch, params) for ch in checker.chars]
         for k, table in enumerate(tables):
@@ -308,7 +308,7 @@ def _full_traces_match(checker, table, k, a_mat, b_mat):
 
 def test_class_representative_sums_match_full_group_walks():
     for params in (validate(3, 3, 2, 7), validate(5, 2, 1, 6)):
-        checker = DeepChecker(params, rng=random.Random(0))
+        checker = DeepChecker(cross_validate(params), rng=random.Random(0))
         tables = [value_table(ch, params) for ch in checker.chars]
         count = len(checker.chars)
         for x in range(count):
@@ -332,13 +332,14 @@ def test_run_all_catches_every_single_cell_poisoning(monkeypatch):
     chars = enumerate_irreducibles(params)
     linear = next(ch for ch in chars if ch.degree == 1)
     induced = next(ch for ch in chars if ch.degree > 1)
+    cross = cross_validate(params)
     for ch in (linear, induced):
         clean = value_table(ch, params)
         for g, e in enumerate(clean):
             poisoned = list(clean)
             poisoned[g] = 0 if e is None else (e + 1) % qc
             monkeypatch.setattr(verify, "value_table", _poisoned_value_table(ch, poisoned))
-            failed = [res.name for res in DeepChecker(params).run_all() if not res.ok]
+            failed = [res.name for res in DeepChecker(cross).run_all() if not res.ok]
             assert failed, (ch, g)
 
 
@@ -354,7 +355,7 @@ def test_run_all_keeps_one_row_per_character(monkeypatch, p, n, m, r):
         return value_table(ch, params)
 
     monkeypatch.setattr(verify, "value_table", counting)
-    checker = DeepChecker(params)
+    checker = DeepChecker(cross_validate(params))
     assert all(res.ok for res in checker.run_all())
     assert sorted(built) == checker.chars
     h = len(checker.conj_classes)
@@ -394,7 +395,8 @@ def test_class_function_certificate_equals_full_spread(monkeypatch):
     for params in groups:
         qb = params.p ** params.m
         qc = params.p ** ambient_level(params)
-        checker = DeepChecker(params)
+        cross = cross_validate(params)
+        checker = DeepChecker(cross)
         classes = checker.conj_classes
         if params.abelian:
             assert checker.domain[0](list(range(params.order))) == ()
@@ -422,7 +424,7 @@ def test_class_function_certificate_equals_full_spread(monkeypatch):
                 verify, "value_table",
                 _poisoned_value_table(checker.chars[k], poisoned),
             )
-            result = DeepChecker(params).check_class_functions()
+            result = DeepChecker(cross).check_class_functions()
             ok, detail = _class_function_reference(poisoned, classes, qb)
             assert (result.ok, result.ok or result.detail) == (ok, ok or detail), params
             assert expected is None or result.ok is expected
