@@ -367,7 +367,7 @@ def _sweep_row(task: tuple[GroupParams, bool]) -> dict:
         "dim_ok": dec.dimension() == params.order,
     }
     if oracle:
-        row["oracle_match"] = verify.cross_validate(params).match
+        row["oracle_match"] = not verify.cross_validate(params).diff
     return row
 
 

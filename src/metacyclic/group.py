@@ -2,7 +2,7 @@
 
 Validated presentation parameters, the grid of every non-abelian (n, m, s)
 up to an order bound, normal-form elements a^i b^j, multiplication, and
-brute-force conjugacy classes for oracle-side checks. p is checked by
+brute-force conjugacy classes of flat indices i * p^m + j. p is checked by
 `arith.check_odd_prime` and |G| against `arith.FORMULA_ORDER_BOUND`.
 """
 
@@ -151,7 +151,8 @@ def check_oracle_bound(params: GroupParams) -> None:
 
 @lru_cache(maxsize=128)
 def _r_power_table(params: GroupParams) -> tuple[int, ...]:
-    """r^j mod p^n for j = 0..p^m-1; multiply's hot-path lookup."""
+    """r^j mod p^n for j = 0..p^m-1: read by the group law, the conjugacy
+    walk, `complex_reps.orbit_members` and `verify.monomial_generators`."""
     q = params.p ** params.n
     table = [1] * (params.p ** params.m)
     for j in range(1, len(table)):
@@ -197,15 +198,15 @@ def conjugate(x: GroupElement, g: GroupElement, params: GroupParams) -> GroupEle
     return multiply(multiply(g, x, params), inverse(g, params), params)
 
 
-def conjugacy_classes(params: GroupParams) -> list[tuple[GroupElement, ...]]:
-    """Exact partition of all p^(n+m) elements under conjugation.
+def conjugacy_classes(params: GroupParams) -> list[tuple[int, ...]]:
+    """Exact partition of all p^(n+m) elements under conjugation, as sorted
+    tuples of flat indices i * p^m + j (the layout of `verify.value_table`),
+    ordered by their least element.
 
     Orbit closure under conjugation by the two generators only; on a finite
-    set that already yields the orbits of the full group. The walk runs on
-    flat indices i * p^m + j and starts each orbit at the least element not
-    yet seen, so every class comes out sorted and the classes come out
-    ordered by their least element. The class count is checked against
-    `GroupParams.class_count`. Bounded by ORACLE_ORDER_BOUND.
+    set that already yields the orbits of the full group. The walk starts
+    each orbit at the least element not yet seen. The class count is
+    checked against `GroupParams.class_count`. Bounded by ORACLE_ORDER_BOUND.
     """
     check_oracle_bound(params)
     qa = params.p ** params.n
@@ -228,7 +229,7 @@ def conjugacy_classes(params: GroupParams) -> list[tuple[GroupElement, ...]]:
                     orbit.append(y)
                     stack.append(y)
         orbit.sort()
-        classes.append(tuple(GroupElement(*divmod(g, qb)) for g in orbit))
+        classes.append(tuple(orbit))
     if len(classes) != params.class_count:
         raise InternalInconsistencyError(
             f"{len(classes)} conjugacy classes, expected {params.class_count}"

@@ -101,8 +101,7 @@ class CrossCheck(NamedTuple):
     params: GroupParams
     closed: WedderburnDecomposition
     oracle: WedderburnDecomposition
-    match: bool
-    diff: tuple[str, ...]
+    diff: tuple[str, ...]  # empty exactly when the two routes agree
     chars: list[IrreducibleCharacter]  # Irr(G) in enumeration order
     classes: list[GaloisClass]
 
@@ -125,7 +124,7 @@ def cross_validate(params: GroupParams) -> CrossCheck:
     closed = wedderburn_closed_form(params)
     chars, classes, oracle = _oracle(params)
     diff = diff_components(closed, oracle)
-    return CrossCheck(params, closed, oracle, not diff, tuple(diff), chars, classes)
+    return CrossCheck(params, closed, oracle, tuple(diff), chars, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +267,7 @@ class CheckResult(NamedTuple):
 
 class DeepChecker:
     """Deepens one `CrossCheck`: takes its characters and Galois classes,
-    and caches the per-group state (conjugacy classes, rows) that the
+    and caches the per-group state (class index, rows) that the
     individual checks share. All checks are exact; `detail` carries the
     work counts so suite logs show what actually ran. Sampled checks draw
     from `rng`, Random(0) unless one is given."""
@@ -281,22 +280,18 @@ class DeepChecker:
         self._rows: dict[int, list[int | None]] = {}
 
     @cached_property
-    def conj_classes(self) -> list[tuple[GroupElement, ...]]:
-        return conjugacy_classes(self.params)
-
-    @cached_property
     def class_index(self) -> tuple[list[int], list[tuple[int, int]]]:
-        """(class_of, reps), built in one pass over `conj_classes`:
-        class_of[g] is the position of the class of the element with flat
-        index g = i * p^m + j, and reps lists (flat index of the class's
-        first element, class size) once per class, in class order."""
-        qb = self.params.p ** self.params.m
+        """(class_of, reps), built in one pass over the flat-index classes
+        of `group.conjugacy_classes`: class_of[g] is the position of the
+        class of the element with flat index g = i * p^m + j, and reps lists
+        (the class's least element, class size) once per class, in class
+        order."""
         class_of = [0] * self.params.order
         reps = []
-        for c, cls in enumerate(self.conj_classes):
-            reps.append((cls[0].i * qb + cls[0].j, len(cls)))
+        for c, cls in enumerate(conjugacy_classes(self.params)):
+            reps.append((cls[0], len(cls)))
             for g in cls:
-                class_of[g.i * qb + g.j] = c
+                class_of[g] = c
         return class_of, reps
 
     @cached_property
@@ -354,10 +349,10 @@ class DeepChecker:
             by_degree[ch.degree] = by_degree.get(ch.degree, 0) + 1
         ok = (
             by_degree == formula
-            and len(self.conj_classes) == len(self.chars)
+            and len(self.class_index[1]) == len(self.chars)
             and sum(d * d * c for d, c in by_degree.items()) == params.order
         )
-        detail = f"classes={len(self.conj_classes)} chars={len(self.chars)}"
+        detail = f"classes={len(self.class_index[1])} chars={len(self.chars)}"
         return CheckResult("counts", ok, detail)
 
     def check_class_functions(self) -> CheckResult:
@@ -375,7 +370,7 @@ class DeepChecker:
 
         Every later check reads rows only, which is exact because of this
         check."""
-        class_of = self.class_index[0]
+        class_of, reps = self.class_index
         cells, cell_classes, shifts = self.domain
         order, w = self.params.order, len(shifts)
         for k, ch in enumerate(self.chars):
@@ -386,12 +381,10 @@ class DeepChecker:
                 for c, shift in enumerate(shifts)
             ):
                 bad = min(c for c, e in zip(class_of, table) if e != row[c])
-                return CheckResult(
-                    "class_functions", False, f"in class of {self.conj_classes[bad][0]}"
-                )
+                first = GroupElement(*divmod(reps[bad][0], self.params.p ** self.params.m))
+                return CheckResult("class_functions", False, f"in class of {first}")
         return CheckResult(
-            "class_functions", True,
-            f"chars={len(self.chars)} classes={len(self.conj_classes)}",
+            "class_functions", True, f"chars={len(self.chars)} classes={len(reps)}"
         )
 
     def _inner_product(self, x: int, y: int) -> list[int]:
@@ -566,7 +559,10 @@ class DeepChecker:
 
     def check_decomposition(self) -> CheckResult:
         """Closed-form multiset == oracle multiset (the headline identity),
-        as `cross_validate` compared them."""
+        as `cross_validate` compared them. The CLI runs the deep checks only
+        after an empty diff, so there this line restates the VERIFIED line;
+        it stays because the benchmark's deep workload requires its OK line
+        and a library caller can pass a mismatched `CrossCheck`."""
         return CheckResult("decomposition", not self.diff, "; ".join(self.diff))
 
     def run_all(self) -> list[CheckResult]:

@@ -147,7 +147,12 @@ def test_conjugacy_class_counts():
 
 def test_conjugacy_classes_partition_and_are_invariant():
     params = validate(3, 2, 2, 4)
-    classes = conjugacy_classes(params)
+    flat = conjugacy_classes(params)
+    # sorted tuples of flat indices i * p^m + j, ordered by least element
+    assert all(list(cls) == sorted(cls) for cls in flat)
+    assert [cls[0] for cls in flat] == sorted(cls[0] for cls in flat)
+    qb = params.p ** params.m
+    classes = [[GroupElement(*divmod(g, qb)) for g in cls] for cls in flat]
     elements = all_elements(params)
     seen = [g for cls in classes for g in cls]
     assert sorted(seen) == sorted(elements)

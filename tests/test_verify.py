@@ -9,7 +9,13 @@ from metacyclic.complex_reps import character_value, enumerate_irreducibles
 from metacyclic.components import SimpleComponent, WedderburnDecomposition
 from metacyclic.cyclotomic import CyclotomicElement, galois_apply, reduce_power_vector
 from metacyclic.errors import SizeBoundError
-from metacyclic.group import GroupElement, from_s, valid_parameter_sets, validate
+from metacyclic.group import (
+    GroupElement,
+    conjugacy_classes,
+    from_s,
+    valid_parameter_sets,
+    validate,
+)
 from metacyclic.verify import (
     DeepChecker,
     MonomialMatrix,
@@ -34,7 +40,7 @@ def test_valid_parameter_sets_grid():
 def test_cross_validate_matches_everywhere_small():
     for params in valid_parameter_sets(3, 729):
         result = cross_validate(params)
-        assert result.match, result.diff
+        assert not result.diff, result.diff
 
 
 def test_diff_reports_changes():
@@ -52,7 +58,7 @@ def test_oracle_bound_enforced():
 def test_abelian_oracle_route():
     params = validate(3, 2, 2, 1, abelian=True)
     result = cross_validate(params)
-    assert result.match
+    assert not result.diff
     assert result.closed.as_multiset() == {(1, 0): 1, (1, 1): 4, (1, 2): 12}
 
 
@@ -154,6 +160,37 @@ def test_orthogonality_detects_corruption():
     assert not checker._pair_orthogonal(3, 4)
 
 
+def test_orthogonality_check_names_the_first_failing_entry():
+    # |G| = 27, all pairs in order: a poisoned cell of row 3 first breaks (0, 3)
+    checker = DeepChecker(cross_validate(validate(3, 2, 1, 4)))
+    row = checker.row(3)
+    row[5] = (row[5] + 1) % 9
+    assert checker.check_orthogonality() == ("orthogonality", False, "pair (0, 3)")
+
+    # |G| = 3125, sampled: replay the draws of Random(3)
+    cross = cross_validate(from_s(5, 3, 2, 1))
+    count = len(cross.chars)
+    replay = random.Random(3)
+    pairs = [(replay.randrange(count), replay.randrange(count))
+             for _ in range(verify.ORTHOGONALITY_PAIRS)]
+    diagonal = [replay.randrange(count) for _ in range(5)]
+    # character 700 is drawn for a diagonal entry but for no pair
+    assert 700 in diagonal and not any(700 in pair for pair in pairs)
+    checker = DeepChecker(cross, rng=random.Random(3))
+    row = checker.row(700)
+    row[row.index(None)] = 0
+    assert checker.check_orthogonality() == ("orthogonality", False, "diagonal 700")
+
+    # the identity's cell is never None: poisoning it in row y breaks the
+    # first drawn pair with y on exactly one side
+    y = pairs[40][1]
+    first = next(pair for pair in pairs if (pair[0] == y) != (pair[1] == y))
+    assert first == (106, 671)
+    checker = DeepChecker(cross, rng=random.Random(3))
+    checker.row(y)[0] = 1
+    assert checker.check_orthogonality() == ("orthogonality", False, "pair (106, 671)")
+
+
 def test_galois_action_check_is_not_vacuous():
     # |G| = 27: every character under every unit; one poisoned row cell
     # breaks the pairs that read that row as source or as image
@@ -210,11 +247,11 @@ def test_matrix_relation_check_is_not_vacuous():
     assert not checker._traces_match(k, a_mat, b_mat)
 
 
-def _is_class_function(table, classes, qb):
+def _is_class_function(table, classes):
     """Reference: the per-class loop that the representative index replaced."""
     for cls in classes:
-        first = table[cls[0].i * qb + cls[0].j]
-        if any(table[g.i * qb + g.j] != first for g in cls[1:]):
+        first = table[cls[0]]
+        if any(table[g] != first for g in cls[1:]):
             return False
     return True
 
@@ -228,39 +265,37 @@ def _poisoned_value_table(target, poisoned):
 
 def test_class_function_check_is_not_vacuous(monkeypatch):
     params = validate(3, 2, 1, 4)  # |G| = 27
-    qb = params.p ** params.m
     checker = DeepChecker(cross_validate(params), rng=random.Random(0))
     assert checker.check_class_functions().ok
     trivial = checker.chars[0]  # a value in every cell
-    big = next(cls for cls in checker.conj_classes if len(cls) > 1)
-    central = [cls for cls in checker.conj_classes if len(cls) == 1][-1]
+    classes = conjugacy_classes(params)
+    big = next(cls for cls in classes if len(cls) > 1)
+    central = [cls for cls in classes if len(cls) == 1][-1]
     clean = value_table(trivial, params)
 
     for cls, ok in ((big, False), (central, True)):
         table = list(clean)
-        g = cls[-1].i * qb + cls[-1].j
+        g = cls[-1]
         table[g] = (table[g] + 1) % 9
         monkeypatch.setattr(verify, "value_table", _poisoned_value_table(trivial, table))
         result = checker.check_class_functions()
         assert result.ok is ok
         if not ok:
-            assert result.detail == f"in class of {cls[0]}"
+            assert result.detail == "in class of GroupElement(i=0, j=1)"  # big = (1, 10, 19)
 
 
 def test_class_rep_index_agrees_with_per_class_loop():
     for params in (validate(3, 3, 2, 7), validate(5, 2, 1, 6)):
-        qb = params.p ** params.m
         checker = DeepChecker(cross_validate(params), rng=random.Random(0))
-        classes, class_of = checker.conj_classes, checker.class_index[0]
+        classes, class_of = conjugacy_classes(params), checker.class_index[0]
         tables = [value_table(ch, params) for ch in checker.chars]
         for k, table in enumerate(tables):
-            assert _is_class_function(table, classes, qb)
+            assert _is_class_function(table, classes)
             assert [checker.row(k)[c] for c in class_of] == table
         # one poisoned table: the last element of the largest class
         poisoned = list(tables[0])
-        last = max(classes, key=len)[-1]
-        poisoned[last.i * qb + last.j] += 1
-        assert not _is_class_function(poisoned, classes, qb)
+        poisoned[max(classes, key=len)[-1]] += 1
+        assert not _is_class_function(poisoned, classes)
         assert [checker.row(0)[c] for c in class_of] != poisoned
 
 
@@ -358,7 +393,7 @@ def test_run_all_keeps_one_row_per_character(monkeypatch, p, n, m, r):
     checker = DeepChecker(cross_validate(params))
     assert all(res.ok for res in checker.run_all())
     assert sorted(built) == checker.chars
-    h = len(checker.conj_classes)
+    h = len(checker.class_index[1])
     assert all(len(checker.row(k)) == h for k in range(len(checker.chars)))
     assert len(built) == len(checker.chars)
 
@@ -369,13 +404,12 @@ def _class_function_reference(table, classes, qb):
     class_of = [0] * len(table)
     for c, cls in enumerate(classes):
         for g in cls:
-            class_of[g.i * qb + g.j] = c
-    row = [table[cls[0].i * qb + cls[0].j] for cls in classes]
+            class_of[g] = c
+    row = [table[cls[0]] for cls in classes]
     if [row[c] for c in class_of] == table:
         return True, ""
-    bad = next(cls for cls in classes
-               if len({table[g.i * qb + g.j] for g in cls}) > 1)
-    return False, f"in class of {bad[0]}"
+    bad = next(cls for cls in classes if len({table[g] for g in cls}) > 1)
+    return False, f"in class of {GroupElement(*divmod(bad[0], qb))}"
 
 
 def _certificate_groups():
@@ -397,13 +431,12 @@ def test_class_function_certificate_equals_full_spread(monkeypatch):
         qc = params.p ** ambient_level(params)
         cross = cross_validate(params)
         checker = DeepChecker(cross)
-        classes = checker.conj_classes
+        classes = conjugacy_classes(params)
         if params.abelian:
             assert checker.domain[0](list(range(params.order))) == ()
         k = rng.randrange(len(checker.chars))
         clean = value_table(checker.chars[k], params)
-        flat = [[g.i * qb + g.j for g in cls] for cls in classes]
-        big = [cells for cells in flat if len(cells) > 1] or flat
+        big = [cells for cells in classes if len(cells) > 1] or classes
         poisonings = []
         last, second = rng.choice(big), rng.choice(big)
         for g in (last[-1], second[min(1, len(second) - 1)]):  # one cell
@@ -413,7 +446,7 @@ def test_class_function_certificate_equals_full_spread(monkeypatch):
         poisoned = list(clean)
         poisoned[rng.randrange(params.order)] = None
         poisonings.append((poisoned, None))
-        cells = rng.choice(flat)  # a whole class: still a class function
+        cells = rng.choice(classes)  # a whole class: still a class function
         poisoned = list(clean)
         value = 0 if clean[cells[0]] is None else (clean[cells[0]] + 1) % qc
         for g in cells:
