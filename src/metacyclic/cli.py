@@ -27,10 +27,11 @@ both routes via `cross_validate`, one `diff_components`, then
 "VERIFIED <tag>: <decomposition>" (or the same JSON document with
 provenance "both (verified)") or "MISMATCH <tag>" plus one diff line per
 component. The tag is "p= n= m= s= r= |G|=" for s >= 1 and
-"abelian p= n= m=" for s = 0. `--deep` needs s >= 1: on an abelian group
-its value tables would hold |G|^2 cells. Size and primality bounds are
-checked before any expensive work, and `verify --all` and `sweep --oracle`
-check the oracle bound on every group before their first row.
+"abelian p= n= m=" for s = 0. `--deep` needs s >= 1 (a usage error,
+exit 1, otherwise): an abelian group has only linear characters. Size and
+primality bounds are checked before any expensive work, and `verify --all`
+and `sweep --oracle` check the oracle bound on every group before their
+first row.
 `verify --all` and `sweep` check p and `--max-order >= 1` even when no
 group fits. `--max-order` without `--all` is a usage error, and so is
 `--all` beside a per-group flag (`--n`, `--m`, `--r`, `--s`, `--abelian`).

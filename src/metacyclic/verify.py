@@ -15,23 +15,24 @@ and B = u p^(C-m), all mod p^C (t = 0, d = 1 are the linear characters):
     psi(a^i b^j) = deg * zeta_{p^C}^(A i + B j)   if d | i and d | j,
                  = 0                               otherwise.
 
-Value tables are therefore integer exponent tables, one arithmetic
-progression per row i = 0 mod d, cut as slices of a cached list of
-residues. A row depends only on A i mod p^C, so the rows repeat with a
-period dividing p^n: each distinct row is built once and the table is one
-period of rows repeated. The orthogonality/trace sums reduce through the
-same canonical basis reduction that CyclotomicElement uses.
+Value tables are therefore integer exponent tables, indexed by i p^m + j.
+The exponent is l X_t + u Y mod p^C on the support S_t = {d | i, d | j},
+where X_t = p^(s-t) p^(C-n) i mod p^C on S_t (None off it) and
+Y = p^(C-m) j mod p^C are the tables of the basis forms (t, 1, 0) for
+t = 0..s and (0, 0, 1), listed by `basis_characters`. The
+orthogonality/trace sums reduce through the same canonical basis
+reduction that CyclotomicElement uses.
 
 `DeepChecker` stores one value form per character, its row: the table's
 exponents on the h = #Irr class representatives, in class order, placed
 by `class_index` = (class_of, reps) from the brute-force conjugacy
-classes. Only `check_class_functions` builds full tables, one at a time:
-it keeps each table's row and certifies, with list slices over every cell,
-that the row spread over class_of gives the table back: the table must
-match the spread row on `domain`, a fundamental domain of class_of along
-i, and repeat with class_of's period outside it. Every check after it
-reads rows only, which is exact because that check has shown every table
-to be a class function:
+classes. Only the s + 2 basis tables are built in full, and
+`check_class_functions` certifies, cell by cell, that each equals its
+representative cells spread over class_of. A character's row is
+l X_t + u Y over the basis rows, None where X_t is None. That row spread
+over class_of is psi's table: the identity above holds cell by cell, and
+the basis tables, support included, are constant on every class. So every
+table is a class function, and every check after it reads rows only:
 - orthogonality weights each representative by its class size, which is
   the full sum over G;
 - the Galois action compares sigma-scaled rows;
@@ -42,18 +43,15 @@ to be a class function:
 The same (d, A, B) gives the monomial matrices: a -> diag(zeta^(r^c A))
 for c = 0..d-1, b -> the cyclic shift with zeta^(d B) in the last row.
 The deep checks tie this fast path to the exact slow one: the matrices
-must satisfy the presentation relations and reproduce the table as traces
-on every class, and the table must agree with `character_value` on
-random elements.
+must satisfy the presentation relations and reproduce the rows as traces
+on every class, and the rows must agree with `character_value` on random
+elements.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
-from functools import cached_property, lru_cache
-from math import gcd
-from operator import itemgetter
+from functools import cached_property
 from typing import NamedTuple
 
 from . import cyclotomic
@@ -148,45 +146,21 @@ def monomial_form(ch: IrreducibleCharacter, params: GroupParams) -> tuple[int, i
 
 
 def value_table(ch: IrreducibleCharacter, params: GroupParams) -> list[int | None]:
-    """Exponent table over all group elements, indexed by i * p^m + j: an
-    arithmetic progression along every row i = 0 mod d, None elsewhere.
-
-    Row i depends only on d and base = A i mod p^C, so the rows repeat with
-    period max(d, order of A in Z/p^C), which divides p^n (A p^n = 0 mod
-    p^C). Each distinct row is built once into one period of rows, and the
-    table is that block repeated p^n / period times (a new list). A row
-    (base + step j) mod p^C, step = B d, j < p^m / d, is cut from a cached
-    list of residues, `chunk` cells per slice."""
+    """Exponent table over all group elements, indexed by i * p^m + j:
+    A i + B j mod p^C where d divides i and j, None elsewhere."""
     d, a_exp, b_exp = monomial_form(ch, params)
-    qa, qb = params.p ** params.n, params.p ** params.m
     qc = params.p ** ambient_level(params)
-    period = max(d, qc // gcd(a_exp, qc))
-    width, step = qb // d, b_exp * d % qc
-    chunk = width
-    while chunk > _ROW_CHUNK:
-        chunk //= params.p
-    residues = _residues(qc, chunk)
-    block: list[int | None] = [None] * (period * qb)
-    for i in range(0, period, d):
-        for j in range(0, width, chunk):
-            start = (a_exp * i + step * j) % qc
-            block[i * qb + j * d:i * qb + (j + chunk) * d:d] = (
-                residues[start:start + step * chunk:step] if step else [start] * chunk
-            )
-    return block * (qa // period)
+    return [
+        (a_exp * i + b_exp * j) % qc if i % d == 0 and j % d == 0 else None
+        for i in range(params.p ** params.n) for j in range(params.p ** params.m)
+    ]
 
 
-# A row is cut in slices of at most this many cells, which bounds every
-# cached residue list at p^C (_ROW_CHUNK + 1) entries.
-_ROW_CHUNK = 64
-
-
-@lru_cache(maxsize=16)
-def _residues(qc: int, chunk: int) -> list[int]:
-    """0..qc-1 repeated chunk + 1 times: entry e is e mod qc for every
-    e = start + step * j with start, step < qc and j < chunk, so a slice
-    of it is `chunk` cells of a progression mod qc. Shared; never mutated."""
-    return list(range(qc)) * (chunk + 1)
+def basis_characters(params: GroupParams) -> list[IrreducibleCharacter]:
+    """The basis forms for `value_table`: (t, 1, 0) for t = 0..s, whose
+    tables are X_t on its support S_t, then (0, 0, 1), whose table is Y."""
+    forms = [IrreducibleCharacter(t, 1, 0, params.p ** t) for t in range(params.s + 1)]
+    return forms + [IrreducibleCharacter(0, 0, 1, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +226,6 @@ GALOIS_SAMPLES = 40
 VALUE_SAMPLES = 50
 
 
-def _gather(cells: list[int]) -> Callable[[list], tuple]:
-    """`itemgetter(*cells)`, returning a tuple for any number of cells."""
-    if len(cells) > 1:
-        return itemgetter(*cells)
-    return lambda seq: tuple(seq[g] for g in cells)
-
-
 class CheckResult(NamedTuple):
     name: str
     ok: bool
@@ -267,8 +234,8 @@ class CheckResult(NamedTuple):
 
 class DeepChecker:
     """Deepens one `CrossCheck`: takes its characters and Galois classes,
-    and caches the per-group state (class index, rows) that the
-    individual checks share. All checks are exact; `detail` carries the
+    and caches the per-group state (class index, basis tables, rows) that
+    the individual checks share. All checks are exact; `detail` carries the
     work counts so suite logs show what actually ran. Sampled checks draw
     from `rng`, Random(0) unless one is given."""
 
@@ -295,46 +262,28 @@ class DeepChecker:
         return class_of, reps
 
     @cached_property
-    def rep_cells(self) -> Callable[[list], tuple]:
-        """Gathers a table's cells at the class representatives, in class
-        order."""
-        return _gather([g for g, _ in self.class_index[1]])
+    def basis_tables(self) -> list[list[int | None]]:
+        """The value tables of `basis_characters`: X_0..X_s, then Y."""
+        return [value_table(form, self.params) for form in basis_characters(self.params)]
 
     @cached_property
-    def domain(self) -> tuple[Callable[[list], tuple], Callable[[list], tuple], list[int]]:
-        """A fundamental domain D of `class_of` along i, found by brute
-        force from `class_index` (no theory). Cells g = i * p^m + j fall
-        into strands c = g mod w, w = gcd(p, p^m) (so c = j mod p when
-        m >= 1). shifts[c] = P_c p^m, where P_c is the least power of p
-        with class_of[g + P_c p^m] == class_of[g] for every g = c mod w
-        below |G| - P_c p^m; P_c = p^n always qualifies, both sides being
-        empty. D is the cells with i < P_(j mod w). It holds every class
-        representative: a representative is the least element of its class,
-        and from i >= P_c on, g - P_c p^m lies in the same class.
-
-        Returns (gather of the cells of D that are not representatives,
-        gather of their class positions from a row, shifts)."""
-        p, qb, order = self.params.p, self.params.p ** self.params.m, self.params.order
-        class_of, reps = self.class_index
-        w = gcd(p, qb)
-        shifts = []
-        for c in range(w):
-            shift = qb
-            while class_of[c + shift::w] != class_of[c:order - shift:w]:
-                shift *= p
-            shifts.append(shift)
-        is_rep = {g for g, _ in reps}
-        cells = sorted(
-            g for j in range(qb) for g in range(j, shifts[j % w], qb) if g not in is_rep
-        )
-        return _gather(cells), _gather([class_of[g] for g in cells]), shifts
+    def basis_rows(self) -> list[list[int | None]]:
+        """Each basis table's cells at the class representatives."""
+        reps = self.class_index[1]
+        return [[table[g] for g, _ in reps] for table in self.basis_tables]
 
     def row(self, k: int) -> list[int | None]:
         """Character k's row: its value-table exponents on the class
-        representatives, in class order. Built on first use from one
-        `value_table`, of which only the h representative cells are kept."""
+        representatives, in class order. Built on first use as
+        l X_t + u Y mod p^C over the basis rows, None where X_t is None
+        (or where Y is, which only a corrupt Y table can be)."""
         if k not in self._rows:
-            self._rows[k] = list(self.rep_cells(value_table(self.chars[k], self.params)))
+            ch = self.chars[k]
+            qc = self.params.p ** ambient_level(self.params)
+            self._rows[k] = [
+                None if x is None or y is None else (ch.l * x + ch.u * y) % qc
+                for x, y in zip(self.basis_rows[ch.t], self.basis_rows[-1])
+            ]
         return self._rows[k]
 
     # -- individual checks ------------------------------------------------
@@ -356,30 +305,20 @@ class DeepChecker:
         return CheckResult("counts", ok, detail)
 
     def check_class_functions(self) -> CheckResult:
-        """Characters are constant on brute-force conjugacy classes: a table
-        f is a class function exactly when it equals F, its row spread over
-        `class_of`. Every table is read in full, but against `domain`:
-        f == F exactly when f == F on the cells of D that are not
-        representatives (on representatives F is f by construction) and
-        every strand c of f is shifts[c]-periodic along i. If so, F is
-        periodic there too (class_of is), so f == F on rows i < P_c
-        carries to every row; conversely a class function inherits the
-        period of class_of. Each table's row is kept. Only on failure is
-        F spread in full, to name the first element of the first class
-        the table is not constant on.
+        """Characters are constant on brute-force conjugacy classes. Each
+        basis table is read cell by cell: it must equal its row spread
+        over `class_of`, support (None) cells included. If so, every
+        character's row spread over class_of is its table, by the identity
+        psi = l X_t + u Y on S_t of the module docstring, and that table
+        is a class function. On failure, the detail names the first
+        element of the first class that the first failing basis table is
+        not constant on.
 
         Every later check reads rows only, which is exact because of this
         check."""
         class_of, reps = self.class_index
-        cells, cell_classes, shifts = self.domain
-        order, w = self.params.order, len(shifts)
-        for k, ch in enumerate(self.chars):
-            table = value_table(ch, self.params)
-            row = self._rows[k] = list(self.rep_cells(table))
-            if cells(table) != cell_classes(row) or any(
-                table[c + shift::w] != table[c:order - shift:w]
-                for c, shift in enumerate(shifts)
-            ):
+        for table, row in zip(self.basis_tables, self.basis_rows):
+            if [row[c] for c in class_of] != table:
                 bad = min(c for c, e in zip(class_of, table) if e != row[c])
                 first = GroupElement(*divmod(reps[bad][0], self.params.p ** self.params.m))
                 return CheckResult("class_functions", False, f"in class of {first}")

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -20,6 +19,7 @@ from metacyclic.verify import (
     DeepChecker,
     MonomialMatrix,
     ambient_level,
+    basis_characters,
     cross_validate,
     decomposition_via_oracle,
     diff_components,
@@ -98,10 +98,13 @@ def test_deep_checks_pass_on_abelian_groups(p, n, m):
 
 
 def test_monomial_exponent_against_character_value():
-    # every cell of every value table, the s = 2, k = 2 twist (3,3,2,7) included
+    # every cell of every value table, the s = 2, k = 2 twist (3,3,2,7),
+    # p = 5 and an abelian group included
     from metacyclic.cyclotomic import root_power
 
-    for params in (validate(3, 2, 1, 4), validate(3, 3, 2, 7)):
+    groups = (validate(3, 2, 1, 4), validate(3, 3, 2, 7), validate(5, 2, 1, 6),
+              validate(3, 2, 1, 1, abelian=True))
+    for params in groups:
         level = ambient_level(params)
         qa, qb = params.p ** params.n, params.p ** params.m
         for ch in enumerate_irreducibles(params):
@@ -265,37 +268,49 @@ def _poisoned_value_table(target, poisoned):
 
 def test_class_function_check_is_not_vacuous(monkeypatch):
     params = validate(3, 2, 1, 4)  # |G| = 27
-    checker = DeepChecker(cross_validate(params), rng=random.Random(0))
-    assert checker.check_class_functions().ok
-    trivial = checker.chars[0]  # a value in every cell
+    assert DeepChecker(cross_validate(params)).check_class_functions().ok
+    x0 = basis_characters(params)[0]  # X_0: a value in every cell
     classes = conjugacy_classes(params)
     big = next(cls for cls in classes if len(cls) > 1)
     central = [cls for cls in classes if len(cls) == 1][-1]
-    clean = value_table(trivial, params)
+    clean = value_table(x0, params)
 
     for cls, ok in ((big, False), (central, True)):
         table = list(clean)
         g = cls[-1]
         table[g] = (table[g] + 1) % 9
-        monkeypatch.setattr(verify, "value_table", _poisoned_value_table(trivial, table))
-        result = checker.check_class_functions()
+        monkeypatch.setattr(verify, "value_table", _poisoned_value_table(x0, table))
+        result = DeepChecker(cross_validate(params)).check_class_functions()
         assert result.ok is ok
         if not ok:
             assert result.detail == "in class of GroupElement(i=0, j=1)"  # big = (1, 10, 19)
 
 
 def test_class_rep_index_agrees_with_per_class_loop():
-    for params in (validate(3, 3, 2, 7), validate(5, 2, 1, 6)):
+    # the identity psi = l X_t + u Y on S_t: every row built from the basis
+    # rows, spread over class_of, is the character's own table. Every
+    # character while #Irr * |G| <= 10^5, a spread of them above it.
+    groups = [q for p in (3, 5, 7) for q in valid_parameter_sets(p, 10 ** 4)]
+    groups += [
+        validate(3, 3, 2, 7),  # s = 2 with the twist k = 2
+        validate(3, 2, 2, 1, abelian=True),
+        validate(3, 3, 0, 1, abelian=True),  # m = 0
+        validate(3, 0, 3, 1, abelian=True),  # n = 0
+    ]
+    for params in groups:
         checker = DeepChecker(cross_validate(params), rng=random.Random(0))
         classes, class_of = conjugacy_classes(params), checker.class_index[0]
-        tables = [value_table(ch, params) for ch in checker.chars]
-        for k, table in enumerate(tables):
+        ks = range(len(checker.chars))
+        if len(ks) * params.order > 10 ** 5:
+            ks = ks[::max(1, len(ks) // 16)]
+        for k in ks:
+            table = value_table(checker.chars[k], params)
             assert _is_class_function(table, classes)
-            assert [checker.row(k)[c] for c in class_of] == table
+            assert [checker.row(k)[c] for c in class_of] == table, (params, k)
         # one poisoned table: the last element of the largest class
-        poisoned = list(tables[0])
+        poisoned = value_table(checker.chars[0], params)
         poisoned[max(classes, key=len)[-1]] += 1
-        assert not _is_class_function(poisoned, classes)
+        assert params.abelian or not _is_class_function(poisoned, classes)
         assert [checker.row(0)[c] for c in class_of] != poisoned
 
 
@@ -362,26 +377,90 @@ def test_class_representative_sums_match_full_group_walks():
 
 
 def test_run_all_catches_every_single_cell_poisoning(monkeypatch):
+    # every cell of every basis table: a wrong value, and a support cell
+    # turned to None or from None to a value
     params = validate(3, 2, 1, 4)  # |G| = 27: all pairs, every Galois image
     qc = params.p ** ambient_level(params)
-    chars = enumerate_irreducibles(params)
-    linear = next(ch for ch in chars if ch.degree == 1)
-    induced = next(ch for ch in chars if ch.degree > 1)
     cross = cross_validate(params)
-    for ch in (linear, induced):
-        clean = value_table(ch, params)
+    poisonings = 0
+    for form in basis_characters(params):
+        clean = value_table(form, params)
         for g, e in enumerate(clean):
-            poisoned = list(clean)
-            poisoned[g] = 0 if e is None else (e + 1) % qc
-            monkeypatch.setattr(verify, "value_table", _poisoned_value_table(ch, poisoned))
-            failed = [res.name for res in DeepChecker(cross).run_all() if not res.ok]
-            assert failed, (ch, g)
+            for wrong in ((0,) if e is None else ((e + 1) % qc, None)):
+                poisoned = list(clean)
+                poisoned[g] = wrong
+                monkeypatch.setattr(verify, "value_table", _poisoned_value_table(form, poisoned))
+                failed = [res.name for res in DeepChecker(cross).run_all() if not res.ok]
+                assert failed, (form, g, wrong)
+                poisonings += 1
+    assert poisonings == 2 * 27 + (2 * 3 + 24) + 2 * 27  # S_1 holds 3 of the 27 cells
+
+
+def _move_one_element(classes):
+    """`conjugacy_classes` with the last element of the largest class
+    moved into the class of the identity."""
+    def fake(params):
+        out = [list(cls) for cls in classes(params)]
+        big = max(out, key=len)
+        out[0].append(big.pop())
+        return [tuple(sorted(cls)) for cls in out]
+    return fake
+
+
+def _shifted_form(da, db):
+    """A `monomial_form` with da added to A and B multiplied by db."""
+    form = verify.monomial_form
+
+    def fake(ch, params):
+        d, a_exp, b_exp = form(ch, params)
+        qc = params.p ** ambient_level(params)
+        return d, (a_exp + da) % qc, b_exp * db % qc
+    return fake
+
+
+def test_run_all_fails_on_each_poison(monkeypatch):
+    # a wrong basis cell, a wrong support cell (both ways), a wrong
+    # class_of entry and a wrong monomial_form each read FAIL
+    params = validate(3, 2, 1, 4)
+    cross = cross_validate(params)
+    x0, x1, y = basis_characters(params)
+    assert all(res.ok for res in DeepChecker(cross).run_all())
+
+    def failed():
+        return {res.name: res.detail for res in DeepChecker(cross).run_all() if not res.ok}
+
+    def poison_cell(form, g, value):
+        table = value_table(form, params)
+        table[g] = value
+        monkeypatch.setattr(verify, "value_table", _poisoned_value_table(form, table))
+
+    poison_cell(y, 19, 1)  # basis cell: Y(a^6 b) is 3, its class reads 3 everywhere
+    assert failed()["class_functions"] == "in class of GroupElement(i=0, j=1)"
+    poison_cell(x1, 9, None)  # support: a^3 is in S_1
+    assert "orthogonality" in failed()
+    poison_cell(x1, 1, 0)  # support: b is not in S_1
+    assert failed()["class_functions"] == "in class of GroupElement(i=0, j=1)"
+    poison_cell(y, 9, None)  # Y is never None; a^3 is central, so only the rows show it
+    assert "class_functions" not in failed() and "orthogonality" in failed()
+    monkeypatch.undo()
+
+    monkeypatch.setattr(verify, "conjugacy_classes", _move_one_element(conjugacy_classes))
+    assert failed()["class_functions"] == "in class of GroupElement(i=0, j=0)"
+    monkeypatch.undo()
+
+    monkeypatch.setattr(verify, "monomial_form", _shifted_form(1, 1))
+    assert "class_functions" in failed()
+    monkeypatch.undo()
+    # B doubled keeps every table a class function and every row a
+    # character: only the slow path sees it
+    monkeypatch.setattr(verify, "monomial_form", _shifted_form(0, 2))
+    assert list(failed()) == ["value_agreement"]
 
 
 @pytest.mark.parametrize("p, n, m, r", [(3, 3, 2, 7), (5, 2, 1, 6)])
-def test_run_all_keeps_one_row_per_character(monkeypatch, p, n, m, r):
-    # each table is built once, by the class-function check, and only its
-    # h class-representative cells are kept
+def test_run_all_builds_only_the_basis_tables(monkeypatch, p, n, m, r):
+    # s + 2 tables per group, each built once, all by the class-function
+    # check; every row comes from the basis rows
     params = validate(p, n, m, r)
     built = []
 
@@ -392,10 +471,10 @@ def test_run_all_keeps_one_row_per_character(monkeypatch, p, n, m, r):
     monkeypatch.setattr(verify, "value_table", counting)
     checker = DeepChecker(cross_validate(params))
     assert all(res.ok for res in checker.run_all())
-    assert sorted(built) == checker.chars
+    assert built == basis_characters(params) and len(built) == params.s + 2
     h = len(checker.class_index[1])
     assert all(len(checker.row(k)) == h for k in range(len(checker.chars)))
-    assert len(built) == len(checker.chars)
+    assert len(built) == params.s + 2  # the rows built no table
 
 
 def _class_function_reference(table, classes, qb):
@@ -422,6 +501,8 @@ def _certificate_groups():
 
 
 def test_class_function_certificate_equals_full_spread(monkeypatch):
+    # one basis table poisoned at a time: the check's verdict and detail
+    # are those of the full spread of that table
     groups = list(_certificate_groups())
     assert len(groups) == 21
     rng = random.Random(13)
@@ -430,12 +511,9 @@ def test_class_function_certificate_equals_full_spread(monkeypatch):
         qb = params.p ** params.m
         qc = params.p ** ambient_level(params)
         cross = cross_validate(params)
-        checker = DeepChecker(cross)
         classes = conjugacy_classes(params)
-        if params.abelian:
-            assert checker.domain[0](list(range(params.order))) == ()
-        k = rng.randrange(len(checker.chars))
-        clean = value_table(checker.chars[k], params)
+        form = rng.choice(basis_characters(params))
+        clean = value_table(form, params)
         big = [cells for cells in classes if len(cells) > 1] or classes
         poisonings = []
         last, second = rng.choice(big), rng.choice(big)
@@ -453,46 +531,10 @@ def test_class_function_certificate_equals_full_spread(monkeypatch):
             poisoned[g] = value
         poisonings.append((poisoned, True))
         for poisoned, expected in poisonings:
-            monkeypatch.setattr(
-                verify, "value_table",
-                _poisoned_value_table(checker.chars[k], poisoned),
-            )
+            monkeypatch.setattr(verify, "value_table", _poisoned_value_table(form, poisoned))
             result = DeepChecker(cross).check_class_functions()
             ok, detail = _class_function_reference(poisoned, classes, qb)
             assert (result.ok, result.ok or result.detail) == (ok, ok or detail), params
             assert expected is None or result.ok is expected
             failed += not result.ok
     assert failed >= 2 * 17  # both one-cell poisonings fail on every non-abelian group
-
-
-def _value_table_per_cell(ch, params):
-    """Reference: `value_table` with each row built cell by cell."""
-    d, a_exp, b_exp = verify.monomial_form(ch, params)
-    qa, qb = params.p ** params.n, params.p ** params.m
-    qc = params.p ** ambient_level(params)
-    period = max(d, qc // math.gcd(a_exp, qc))
-    row = [b_exp * j % qc for j in range(0, qb, d)]
-    block = [None] * (period * qb)
-    for i in range(0, period, d):
-        base = a_exp * i % qc
-        block[i * qb:(i + 1) * qb:d] = [(base + e) % qc for e in row]
-    return block * (qa // period)
-
-
-def test_value_table_equals_per_cell_rows():
-    # every character while #Irr * |G| <= 10^5; above it, a spread of
-    # characters and the first with constant rows (step B d = 0 mod p^C)
-    groups = [q for p in (3, 5, 7) for q in valid_parameter_sets(p, 10 ** 4)]
-    groups += list(_abelian_groups())
-    flat_rows = 0
-    for params in groups:
-        qc = params.p ** ambient_level(params)
-        chars = enumerate_irreducibles(params)
-        flat = [ch for ch in chars
-                if verify.monomial_form(ch, params)[2] * ch.degree % qc == 0]
-        if len(chars) * params.order > 10 ** 5:
-            chars = chars[::max(1, len(chars) // 16)] + flat[:4]
-        for ch in chars:
-            assert value_table(ch, params) == _value_table_per_cell(ch, params), (params, ch)
-        flat_rows += len(set(chars) & set(flat))
-    assert flat_rows > len(groups)
