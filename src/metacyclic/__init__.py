@@ -42,6 +42,7 @@ _HOME = {
     "IrreducibleCharacter": "complex_reps",
     "orbit_decomposition": "complex_reps",
     "enumerate_irreducibles": "complex_reps",
+    "complex_counts_from_characters": "complex_reps",
     "character_value": "complex_reps",
     "GaloisClass": "rational",
     "SimpleComponent": "components",

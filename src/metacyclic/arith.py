@@ -55,7 +55,11 @@ def p_adic_valuation(x: int, p: int) -> int:
     check_odd_prime(p)
     if x == 0:
         raise ValidationError("p-adic valuation of 0 is undefined")
-    x = abs(x)
+    return _valuation(x, p)
+
+
+def _valuation(x: int, p: int) -> int:
+    """w_p(x) for x != 0 and p >= 2: the one valuation loop, unchecked."""
     w = 0
     while x % p == 0:
         x //= p

@@ -313,13 +313,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_counts(args) -> int:
     params = _params_from_args(args)
-    if args.oracle:
-        check_oracle_bound(params)
     if args.kind == "complex":
-        formula = complex_counts_closed_form(params)
-        rows = [{"degree": d, "count": c} for d, c in sorted(formula.items())]
+        closed = complex_counts_closed_form(params)
+        rows = [{"degree": d, "count": c} for d, c in sorted(closed.items())]
     else:
         counts = rational_counts_closed_form(params)
+        closed = counts.by_degree
         rows = [
             {"lambda": lam, "degree": phi_pk(params.p, lam), "count": c}
             for lam, c in counts.by_lambda.items()
@@ -327,18 +326,16 @@ def _cmd_counts(args) -> int:
     if args.oracle:
         chars = complex_reps.enumerate_irreducibles(params)
         if args.kind == "complex":
-            oracle: dict[int, int] = {}
-            for ch in chars:
-                oracle[ch.degree] = oracle.get(ch.degree, 0) + 1
+            oracle = complex_reps.complex_counts_from_characters(chars)
         else:
             classes = rational.galois_classes(chars, params)
             oracle = rational.rational_counts_from_classes(classes, params)
-        for row in rows:
-            row["oracle"] = oracle.get(row["degree"], 0)
-            if row["oracle"] != row["count"]:
+        for degree in sorted(closed.keys() | oracle.keys()):
+            if closed.get(degree) != oracle.get(degree):
                 raise InternalInconsistencyError(
-                    f"{args.kind} count mismatch at degree {row['degree']}"
-                )
+                    f"{args.kind} count mismatch at degree {degree}")
+        for row in rows:
+            row["oracle"] = oracle[row["degree"]]
     doc = {
         "kind": args.kind,
         "p": params.p, "n": params.n, "m": params.m,

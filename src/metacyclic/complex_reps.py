@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import cyclotomic
 from .errors import InternalInconsistencyError
-from .group import GroupElement, GroupParams, _r_power_table
+from .group import GroupElement, GroupParams, _r_power_table, check_oracle_bound
 
 
 class IrreducibleCharacter(NamedTuple):
@@ -86,10 +86,11 @@ def enumerate_irreducibles(params: GroupParams) -> list[IrreducibleCharacter]:
     in tuple order.
 
     p^(n+m-s) linear characters (t = 0) plus phi(p^(n-s)) p^(m-t)
-    characters of degree p^t for each t = 1..s; the count and the
-    degree-square identity sum(deg^2) = |G| are enforced before returning.
+    characters of degree p^t for each t = 1..s. The oracle bound is checked
+    first; the count and sum(deg^2) = |G| are enforced before returning.
     """
-    p, n, m, s = params.p, params.n, params.m, params.s
+    check_oracle_bound(params)
+    p, m = params.p, params.m
     chars = [
         IrreducibleCharacter(t, l, u, p ** t)
         for t, l in orbit_decomposition(params)
@@ -102,6 +103,14 @@ def enumerate_irreducibles(params: GroupParams) -> list[IrreducibleCharacter]:
     if sum(ch.degree ** 2 for ch in chars) != params.order:
         raise InternalInconsistencyError("sum of degree^2 != |G|")
     return chars
+
+
+def complex_counts_from_characters(chars: list[IrreducibleCharacter]) -> dict[int, int]:
+    """Table degree -> count of irreducible complex characters in `chars`."""
+    counts: dict[int, int] = {}
+    for ch in chars:
+        counts[ch.degree] = counts.get(ch.degree, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def character_value(

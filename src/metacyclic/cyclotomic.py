@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .arith import check_odd_prime, phi_pk
+from .arith import _valuation, check_odd_prime, phi_pk
 from .errors import ValidationError
 
 
@@ -212,8 +212,9 @@ class CyclotomicElement:
         return a == b
 
     def __hash__(self):
+        # a rational hashes as its coefficient, since it equals that int or Fraction
         n = self.normalized()
-        return hash((n.level, n.coeffs, n.p if n.level else 0))
+        return hash((n.level, n.coeffs, n.p) if n.level else n.coeffs[0])
 
     def __repr__(self):
         if self.level == 0:
@@ -297,17 +298,7 @@ def minimal_level(x: CyclotomicElement) -> int:
     basis monomials whose exponent is divisible by p^(N-L), so the answer
     is read off the p-adic valuations of the support.
     """
-    if x.level == 0:
-        return 0
-    v = x.level
-    for e, c in enumerate(x.coeffs):
-        if e and c:
-            w = 0
-            while e % x.p == 0:
-                e //= x.p
-                w += 1
-            if w < v:
-                v = w
-            if v == 0:
-                break
-    return x.level - v
+    return x.level - min(
+        (_valuation(e, x.p) for e, c in enumerate(x.coeffs) if e and c),
+        default=x.level,
+    )

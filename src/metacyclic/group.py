@@ -61,6 +61,11 @@ class GroupParams(NamedTuple):
         return p ** (e - s) + p ** (e - s - 1) - p ** (e - 2 * s - 1)
 
     @property
+    def ambient_level(self) -> int:
+        """Level C = max(n, m): every character value lies in Q(zeta_{p^C})."""
+        return max(self.n, self.m)
+
+    @property
     def canonical_r(self) -> int:
         """The representative twist 1 + p^(n-s): same group, same invariants."""
         if self.abelian:

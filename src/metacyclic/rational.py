@@ -26,7 +26,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .arith import phi_pk, unit_group_generator
+from .arith import _valuation, phi_pk, unit_group_generator
 from .complex_reps import IrreducibleCharacter, canonical_orbit_label
 from .components import WedderburnDecomposition, assemble_components
 from .errors import InternalInconsistencyError, ValidationError
@@ -53,13 +53,10 @@ class GaloisClass(NamedTuple):
 
 
 def _exact_level(x: int, e: int, p: int) -> int:
-    """Level L with zeta_{p^e}^x of exact order p^L: the number of times x
-    is multiplied by p to reach 0 mod p^e."""
-    q, level = p ** e, 0
-    x %= q
-    while x:
-        x, level = x * p % q, level + 1
-    return level
+    """Level L with zeta_{p^e}^x of exact order p^L: e - w_p(x mod p^e),
+    or 0 when x = 0 mod p^e."""
+    x %= p ** e
+    return e - _valuation(x, p) if x else 0
 
 
 def character_field_level(ch: IrreducibleCharacter, params: GroupParams) -> int:
@@ -139,7 +136,7 @@ def galois_classes(
     if sum(ch.degree ** 2 for ch in chars) != params.order:
         raise ValidationError("character list is incomplete: sum(deg^2) != |G|")
     listed = sorted(chars)
-    level_c = max(params.n, params.m)
+    level_c = params.ambient_level
     codes, images = _codes(listed, unit_group_generator(params.p, level_c), params)
     position = dict(zip(codes, range(len(listed))))
     if len(position) != len(listed):

@@ -3,14 +3,15 @@
 `cross_validate` runs both routes on one group of any s (s = 0 is the
 abelian group), and `diff_components` is the one comparison of their
 component multisets. `cross_validate` and `decomposition_via_oracle` run
-the oracle through `_oracle`, which passes `group.check_oracle_bound` before
-it enumerates Irr(G). `DeepChecker` deepens a `CrossCheck`: it reads the
+the oracle through `_oracle`; `enumerate_irreducibles` checks the oracle
+bound first. `DeepChecker` deepens a `CrossCheck`: it reads the
 characters, Galois classes and component diff from it, and checks the bound
 again before it walks all |G| elements.
 
 Every irreducible psi = (t, l, u) has one monomial form (d, A, B), built
-by `monomial_form`. With C = max(n, m), d = p^t, A = l p^(s-t) p^(C-n)
-and B = u p^(C-m), all mod p^C (t = 0, d = 1 are the linear characters):
+by `monomial_form`. With C = max(n, m) (`GroupParams.ambient_level`),
+d = p^t, A = l p^(s-t) p^(C-n) and B = u p^(C-m), all mod p^C (t = 0,
+d = 1 are the linear characters):
 
     psi(a^i b^j) = deg * zeta_{p^C}^(A i + B j)   if d | i and d | j,
                  = 0                               otherwise.
@@ -20,8 +21,8 @@ The exponent is l X_t + u Y mod p^C on the support S_t = {d | i, d | j},
 where X_t = p^(s-t) p^(C-n) i mod p^C on S_t (None off it) and
 Y = p^(C-m) j mod p^C are the tables of the basis forms (t, 1, 0) for
 t = 0..s and (0, 0, 1), listed by `basis_characters`. The
-orthogonality/trace sums reduce through the same canonical basis
-reduction that CyclotomicElement uses.
+orthogonality/trace sums, minus their expected values, must vanish under
+the canonical basis reduction that CyclotomicElement uses.
 
 `DeepChecker` stores one value form per character, its row: the table's
 exponents on the h = #Irr class representatives, in class order, placed
@@ -56,7 +57,12 @@ from typing import NamedTuple
 
 from . import cyclotomic
 from .components import WedderburnDecomposition
-from .complex_reps import IrreducibleCharacter, character_value, enumerate_irreducibles
+from .complex_reps import (
+    IrreducibleCharacter,
+    character_value,
+    complex_counts_from_characters,
+    enumerate_irreducibles,
+)
 from .formulas import (
     complex_counts_closed_form,
     rational_counts_closed_form,
@@ -84,7 +90,6 @@ def _oracle(
     """Decompose from first principles: enumerate Irr(G), class it under
     the Galois action, and assemble one component per class. Returns the
     characters, the classes and the decomposition."""
-    check_oracle_bound(params)
     chars = enumerate_irreducibles(params)
     classes = galois_classes(chars, params)
     return chars, classes, wedderburn_from_classes(classes, params)
@@ -129,18 +134,13 @@ def cross_validate(params: GroupParams) -> CrossCheck:
 # monomial value tables
 # ---------------------------------------------------------------------------
 
-def ambient_level(params: GroupParams) -> int:
-    """Level C with all character values inside Q(zeta_{p^C})."""
-    return max(params.n, params.m)
-
-
 def monomial_form(ch: IrreducibleCharacter, params: GroupParams) -> tuple[int, int, int]:
     """(d, A, B) with psi(a^i b^j) = deg * zeta_{p^C}^(A i + B j) when d
     divides both i and j, and 0 otherwise: d = p^t, A = l p^(s-t) p^(C-n),
     B = u p^(C-m), all exponents mod p^C.
     """
     p, n, m = params.p, params.n, params.m
-    qc = p ** ambient_level(params)
+    qc = p ** params.ambient_level
     a_base = ch.l * p ** (params.s - ch.t)
     return p ** ch.t, a_base * (qc // p ** n) % qc, ch.u * (qc // p ** m) % qc
 
@@ -149,7 +149,7 @@ def value_table(ch: IrreducibleCharacter, params: GroupParams) -> list[int | Non
     """Exponent table over all group elements, indexed by i * p^m + j:
     A i + B j mod p^C where d divides i and j, None elsewhere."""
     d, a_exp, b_exp = monomial_form(ch, params)
-    qc = params.p ** ambient_level(params)
+    qc = params.p ** params.ambient_level
     return [
         (a_exp * i + b_exp * j) % qc if i % d == 0 and j % d == 0 else None
         for i in range(params.p ** params.n) for j in range(params.p ** params.m)
@@ -206,7 +206,7 @@ def monomial_generators(
     diag(zeta^(r^c A)) for c = 0..d-1, b to the cyclic shift with
     zeta^(d B) in the last row; for d = 1 the 1x1 matrices (zeta^A), (zeta^B)."""
     d, a_exp, b_exp = monomial_form(ch, params)
-    qc = params.p ** ambient_level(params)
+    qc = params.p ** params.ambient_level
     a_exps = tuple(a_exp * rc % qc for rc in _r_power_table(params)[:d])
     a_mat = MonomialMatrix(qc, tuple(range(d)), a_exps)
     b_perm = tuple((c + 1) % d for c in range(d))
@@ -234,15 +234,16 @@ class CheckResult(NamedTuple):
 
 class DeepChecker:
     """Deepens one `CrossCheck`: takes its characters and Galois classes,
-    and caches the per-group state (class index, basis tables, rows) that
-    the individual checks share. All checks are exact; `detail` carries the
-    work counts so suite logs show what actually ran. Sampled checks draw
-    from `rng`, Random(0) unless one is given."""
+    and caches the per-group state (p^C as `qc`, class index, basis tables,
+    rows) that the individual checks share. All checks are exact; `detail`
+    carries the work counts so suite logs show what actually ran. Sampled
+    checks draw from `rng`, Random(0) unless one is given."""
 
     def __init__(self, cross: CrossCheck, rng: random.Random | None = None):
         check_oracle_bound(cross.params)
         self.params, self.chars, self.galois = cross.params, cross.chars, cross.classes
         self.diff = cross.diff
+        self.qc = self.params.p ** self.params.ambient_level
         self.rng = random.Random(0) if rng is None else rng
         self._rows: dict[int, list[int | None]] = {}
 
@@ -278,8 +279,7 @@ class DeepChecker:
         l X_t + u Y mod p^C over the basis rows, None where X_t is None
         (or where Y is, which only a corrupt Y table can be)."""
         if k not in self._rows:
-            ch = self.chars[k]
-            qc = self.params.p ** ambient_level(self.params)
+            ch, qc = self.chars[k], self.qc
             self._rows[k] = [
                 None if x is None or y is None else (ch.l * x + ch.u * y) % qc
                 for x, y in zip(self.basis_rows[ch.t], self.basis_rows[-1])
@@ -293,9 +293,7 @@ class DeepChecker:
         sum(deg^2) = |G|."""
         params = self.params
         formula = complex_counts_closed_form(params)
-        by_degree: dict[int, int] = {}
-        for ch in self.chars:
-            by_degree[ch.degree] = by_degree.get(ch.degree, 0) + 1
+        by_degree = complex_counts_from_characters(self.chars)
         ok = (
             by_degree == formula
             and len(self.class_index[1]) == len(self.chars)
@@ -326,24 +324,26 @@ class DeepChecker:
             "class_functions", True, f"chars={len(self.chars)} classes={len(reps)}"
         )
 
-    def _inner_product(self, x: int, y: int) -> list[int]:
-        """Reduced coefficients of sum_g psi_x(g) conj(psi_y(g)), summed as
-        sum_K |K| psi_x(g_K) conj(psi_y(g_K)) over one representative g_K
+    def _vanishes(self, vec: list[int]) -> bool:
+        """Whether sum_e vec[e] zeta_{p^C}^e is 0, i.e. reduces to the zero
+        vector: the zero test of an orthogonality or trace sum minus its value."""
+        params = self.params
+        return not any(cyclotomic.reduce_power_vector(params.p, params.ambient_level, vec))
+
+    def _pair_orthogonal(self, x: int, y: int) -> bool:
+        """sum_g psi_x(g) conj(psi_y(g)) == |G| [x = y], with the sum taken
+        as sum_K |K| psi_x(g_K) conj(psi_y(g_K)) over one representative g_K
         of every conjugacy class K: equal to the sum over all of G when
         both tables are class functions."""
-        params = self.params
-        qc = params.p ** ambient_level(params)
+        qc = self.qc
         coeff = self.chars[x].degree * self.chars[y].degree
         acc = [0] * qc
         for (_, size), e1, e2 in zip(self.class_index[1], self.row(x), self.row(y)):
             if e1 is not None and e2 is not None:
                 acc[(e1 - e2) % qc] += coeff * size
-        return cyclotomic.reduce_power_vector(params.p, ambient_level(params), acc)
-
-    def _pair_orthogonal(self, x: int, y: int) -> bool:
-        reduced = self._inner_product(x, y)
-        expected0 = self.params.order if x == y else 0
-        return reduced[0] == expected0 and not any(reduced[1:])
+        if x == y:
+            acc[0] -= self.params.order
+        return self._vanishes(acc)
 
     def check_orthogonality(self) -> CheckResult:
         """First orthogonality, exactly: sum_g psi(g) conj(psi'(g)) is |G|
@@ -380,8 +380,7 @@ class DeepChecker:
         the original value. Every character for every unit alpha for |G| <=
         EXHAUSTIVE_ORDER_BOUND, else GALOIS_SAMPLES random pairs. An image
         outside the character list fails the check."""
-        params = self.params
-        qc = params.p ** ambient_level(params)
+        params, qc = self.params, self.qc
         units = [a for a in range(1, qc) if a % params.p]
         index = {ch: k for k, ch in enumerate(self.chars)}
         if params.order <= EXHAUSTIVE_ORDER_BOUND:
@@ -409,14 +408,13 @@ class DeepChecker:
         element (see `_traces_match`)."""
         params = self.params
         p, n, m = params.p, params.n, params.m
-        qc = p ** ambient_level(params)
         checked = []
         for t in range(1, params.s + 1):
             degree = p ** t
             pool = [k for k, ch in enumerate(self.chars) if ch.degree == degree]
             k = self.rng.choice(pool)
             a_mat, b_mat = monomial_generators(self.chars[k], params)
-            ident = MonomialMatrix.identity(qc, degree)
+            ident = MonomialMatrix.identity(self.qc, degree)
             if a_mat.pow(p ** n) != ident:
                 return CheckResult("matrix_relations", False, f"A^(p^n) != I at t={t}")
             if b_mat.pow(p ** m) != ident:
@@ -431,18 +429,14 @@ class DeepChecker:
     def _traces_match(self, k: int, a_mat: MonomialMatrix, b_mat: MonomialMatrix) -> bool:
         """tr(A^i B^j) == psi_k(a^i b^j) on the representative a^i b^j of
         every conjugacy class, read from row k. A is diagonal, so A^i has
-        exponents i * exps. The reduction to the power basis is linear, so
-        the trace minus the value is reduced once and must vanish.
+        exponents i * exps. The trace minus the value must vanish.
 
         Once A and B satisfy the presentation relations (checked first by
         `check_matrix_relations`), a -> A, b -> B is a representation and
         its trace is a class function; so is the table, by
         `check_class_functions`. Equality on class representatives is then
         equality on every element."""
-        params = self.params
-        p, level = params.p, ambient_level(params)
-        qc = p ** level
-        qb = p ** params.m
+        qc, qb = self.qc, self.params.p ** self.params.m
         degree = self.chars[k].degree
         d = len(a_mat.perm)
         b_pows = [MonomialMatrix.identity(qc, d)]
@@ -460,7 +454,7 @@ class DeepChecker:
                 vec[(i * a_mat.exps[c] + bj.exps[c]) % qc] += 1
             if expected is not None:
                 vec[expected] -= degree
-            if any(cyclotomic.reduce_power_vector(p, level, vec)):
+            if not self._vanishes(vec):
                 return False
         return True
 
@@ -469,7 +463,7 @@ class DeepChecker:
         function on VALUE_SAMPLES random elements (ties fast path to slow
         path); each element reads the row cell of its class."""
         params = self.params
-        level = ambient_level(params)
+        level = params.ambient_level
         qa, qb = params.p ** params.n, params.p ** params.m
         class_of = self.class_index[0]
         for _ in range(VALUE_SAMPLES):

@@ -219,6 +219,33 @@ def test_counts_oracle_mismatch_is_internal_inconsistency(capsys, monkeypatch):
     assert (code, out) == (5, "")
     assert "rational count mismatch at degree 2" in err
 
+    # an oracle degree that has no closed-form row is compared too
+    monkeypatch.setattr(rational, "rational_counts_from_classes",
+                        lambda classes, params: {**real_counts(classes, params), 999: 1})
+    code, out, err = run_main(capsys, "counts --p 3 --n 2 --m 2 --r 4 --kind rational --oracle")
+    assert (code, out) == (5, "")
+    assert "rational count mismatch at degree 999" in err
+
+    monkeypatch.setattr(complex_reps, "enumerate_irreducibles",
+                        lambda params: real(params) + [complex_reps.IrreducibleCharacter(2, 1, 0, 9)])
+    code, out, err = run_main(capsys, "counts --p 3 --n 2 --m 2 --r 4 --kind complex --oracle")
+    assert (code, out) == (5, "")
+    assert "complex count mismatch at degree 9" in err
+
+
+def test_counts_oracle_agrees_on_the_oracle_grid(capsys):
+    from metacyclic.group import valid_parameter_sets
+
+    for p in (3, 5, 7):
+        for params in valid_parameter_sets(p, 10 ** 4):
+            for kind in ("complex", "rational"):
+                argv = (f"counts --p {p} --n {params.n} --m {params.m} --s {params.s} "
+                        f"--kind {kind} --oracle --format json")
+                code, out, err = run_main(capsys, argv)
+                assert (code, err) == (0, ""), argv
+                rows = json.loads(out)["rows"]
+                assert rows and all(row["oracle"] == row["count"] for row in rows), argv
+
 
 def test_sweep_threads_validated_and_capped(capsys, monkeypatch):
     import concurrent.futures
@@ -439,6 +466,19 @@ def test_verify_deep_runs_each_oracle_stage_once(capsys, monkeypatch):
     cross = verify.cross_validate(validate(3, 2, 2, 4))
     checker = verify.DeepChecker(cross)
     assert checker.chars is cross.chars and checker.galois is cross.classes
+
+
+def test_oracle_grid_sweep_tests_primality_211_times(capsys, monkeypatch):
+    # p is checked once per group, not once per valuation or Galois class
+    from metacyclic import arith
+
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda x: calls.append(x) or real(x))
+    arith.unit_group_generator.cache_clear()  # an earlier test may have warmed it
+    code, out, _ = run_main(capsys, "verify --p 3 --all --max-order 10000")
+    assert code == 0 and out.count("VERIFIED") == len(out.splitlines()) == 34
+    assert len(calls) == 211
 
 
 def test_unexpected_exception_exits_5_without_traceback(capsys, monkeypatch):

@@ -12,9 +12,15 @@ from metacyclic.complex_reps import (
     orbit_members,
 )
 from metacyclic.cyclotomic import CyclotomicElement, root_power
-from metacyclic.errors import InternalInconsistencyError
-from metacyclic.group import GroupElement, _r_power_table, valid_parameter_sets, validate
-from metacyclic.verify import ambient_level, monomial_generators
+from metacyclic.errors import InternalInconsistencyError, SizeBoundError
+from metacyclic.group import (
+    GroupElement,
+    _r_power_table,
+    from_s,
+    valid_parameter_sets,
+    validate,
+)
+from metacyclic.verify import monomial_generators
 
 
 def degree_histogram(chars):
@@ -108,6 +114,12 @@ def test_enumerate_counts():
     assert len(g2) == 105  # = 3^4 + 3^3 - 3
     for chars, order in ((g1, 729), (g2, 729)):
         assert sum(ch.degree ** 2 for ch in chars) == order
+
+
+def test_enumeration_checks_the_oracle_bound_first():
+    with pytest.raises(SizeBoundError, match="exceeds the oracle bound"):
+        enumerate_irreducibles(from_s(3, 8, 2, 1))  # |G| = 3^10 > 10^4
+    assert len(enumerate_irreducibles(from_s(3, 7, 1, 1))) == 3 ** 7 + 3 ** 6 - 3 ** 5
 
 
 def test_enumeration_is_duplicate_free():
@@ -207,7 +219,7 @@ def to_dense(mat, p, level):
 
 def dense_generators(ch, params):
     """Dense images of a and b: `monomial_generators` expanded entry by entry."""
-    level = ambient_level(params)
+    level = params.ambient_level
     a_mat, b_mat = monomial_generators(ch, params)
     return to_dense(a_mat, params.p, level), to_dense(b_mat, params.p, level)
 

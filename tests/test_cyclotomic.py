@@ -200,6 +200,14 @@ def test_hash_consistent_with_eq():
     assert hash(CyclotomicElement.rational(3, 4)) == hash(CyclotomicElement.rational(5, 4))
     values = {root_power(3, 2, 3), root_power(3, 1, 1), root_power(3, 2, 1)}
     assert len(values) == 2
+    # a rational equals its int or Fraction value, so it hashes as that value
+    five = CyclotomicElement.rational(3, 5)
+    for plain in (5, Fraction(5)):
+        assert five == plain and hash(five) == hash(plain)
+    half = CyclotomicElement.rational(3, Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert hash(root_power(3, 1, 1) + root_power(3, 1, 2)) == hash(-1)  # z3 + z3^2
+    assert len({five, 5}) == len({5, five}) == len({five, Fraction(5)}) == 1
 
 
 def test_immutable_and_round_trips_through_pickle_and_deepcopy():

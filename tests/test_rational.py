@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from metacyclic import rational
+from metacyclic import complex_reps, rational
 from metacyclic.complex_reps import (
     IrreducibleCharacter,
     character_value,
@@ -225,7 +225,11 @@ def all_units_galois_classes(chars, params):
     return classes
 
 
-def test_generator_walk_equals_all_units_classes():
+def test_generator_walk_equals_all_units_classes(monkeypatch):
+    # the last two groups of GRID lie above the oracle bound, which
+    # `enumerate_irreducibles` checks first: it is lifted here, where the
+    # Galois walk on their characters is the point
+    monkeypatch.setattr(complex_reps, "check_oracle_bound", lambda params: None)
     for params in GRID:
         chars = enumerate_irreducibles(params)
         assert galois_classes(chars, params) == all_units_galois_classes(chars, params), params

@@ -18,7 +18,6 @@ from metacyclic.group import (
 from metacyclic.verify import (
     DeepChecker,
     MonomialMatrix,
-    ambient_level,
     basis_characters,
     cross_validate,
     decomposition_via_oracle,
@@ -105,7 +104,7 @@ def test_monomial_exponent_against_character_value():
     groups = (validate(3, 2, 1, 4), validate(3, 3, 2, 7), validate(5, 2, 1, 6),
               validate(3, 2, 1, 1, abelian=True))
     for params in groups:
-        level = ambient_level(params)
+        level = params.ambient_level
         qa, qb = params.p ** params.n, params.p ** params.m
         for ch in enumerate_irreducibles(params):
             table = value_table(ch, params)
@@ -243,7 +242,7 @@ def test_matrix_relation_check_is_not_vacuous():
                           tuple((e + 1) % b_mat.modulus for e in b_mat.exps))
     assert not checker._traces_match(k, a_mat, bad)
 
-    qb, qc = params.p ** params.m, params.p ** ambient_level(params)
+    qb, qc = params.p ** params.m, params.p ** params.ambient_level
     row = checker.row(k)
     c = checker.class_index[0][3 * qb + 3]  # class of a^3 b^3: i = j = 0 mod d = 3
     row[c] = (row[c] + 1) % qc
@@ -314,17 +313,19 @@ def test_class_rep_index_agrees_with_per_class_loop():
         assert [checker.row(0)[c] for c in class_of] != poisoned
 
 
-def _full_inner_product(checker, tables, x, y):
-    """Reference: the inner product summed over every cell of both tables."""
+def _full_pair_orthogonal(checker, tables, x, y):
+    """Reference: sum_g psi_x(g) conj(psi_y(g)) == |G| [x = y], with the
+    sum taken over every cell of both tables and compared coefficient-wise."""
     params = checker.params
-    level = ambient_level(params)
+    level = params.ambient_level
     qc = params.p ** level
     coeff = checker.chars[x].degree * checker.chars[y].degree
     acc = [0] * qc
     for e1, e2 in zip(tables[x], tables[y]):
         if e1 is not None and e2 is not None:
             acc[(e1 - e2) % qc] += coeff
-    return reduce_power_vector(params.p, level, acc)
+    reduced = reduce_power_vector(params.p, level, acc)
+    return reduced == [params.order if x == y else 0] + [0] * (len(reduced) - 1)
 
 
 def _full_traces_match(checker, table, k, a_mat, b_mat):
@@ -332,7 +333,7 @@ def _full_traces_match(checker, table, k, a_mat, b_mat):
     with A^i built by repeated multiplication and the trace read off the
     diagonal of the product."""
     params = checker.params
-    level = ambient_level(params)
+    level = params.ambient_level
     qc = params.p ** level
     qa, qb = params.p ** params.n, params.p ** params.m
     degree = checker.chars[k].degree
@@ -363,8 +364,23 @@ def test_class_representative_sums_match_full_group_walks():
         count = len(checker.chars)
         for x in range(count):
             for y in range(count):
-                assert (checker._inner_product(x, y)
-                        == _full_inner_product(checker, tables, x, y))
+                assert (checker._pair_orthogonal(x, y)
+                        is _full_pair_orthogonal(checker, tables, x, y))
+        # the trivial character's row poisoned at one class, and its table on
+        # that whole class, class by class: a false verdict must agree too
+        class_of, reps = checker.class_index
+        row, clean = checker.row(0), tables[0]
+        verdicts = set()
+        for c in range(len(reps)):
+            row[c] = 1
+            tables[0] = [1 if class_of[g] == c else e for g, e in enumerate(clean)]
+            for y in range(count):
+                verdict = checker._pair_orthogonal(0, y)
+                assert verdict is _full_pair_orthogonal(checker, tables, 0, y), (c, y)
+                verdicts.add(verdict)
+            row[c] = 0
+        tables[0] = clean
+        assert verdicts == {True, False}
         for degree in sorted({ch.degree for ch in checker.chars} - {1}):
             pool = [k for k, ch in enumerate(checker.chars) if ch.degree == degree]
             for k, other in zip(pool, pool[1:] + pool[:1]):
@@ -380,7 +396,7 @@ def test_run_all_catches_every_single_cell_poisoning(monkeypatch):
     # every cell of every basis table: a wrong value, and a support cell
     # turned to None or from None to a value
     params = validate(3, 2, 1, 4)  # |G| = 27: all pairs, every Galois image
-    qc = params.p ** ambient_level(params)
+    qc = params.p ** params.ambient_level
     cross = cross_validate(params)
     poisonings = 0
     for form in basis_characters(params):
@@ -413,7 +429,7 @@ def _shifted_form(da, db):
 
     def fake(ch, params):
         d, a_exp, b_exp = form(ch, params)
-        qc = params.p ** ambient_level(params)
+        qc = params.p ** params.ambient_level
         return d, (a_exp + da) % qc, b_exp * db % qc
     return fake
 
@@ -509,7 +525,7 @@ def test_class_function_certificate_equals_full_spread(monkeypatch):
     failed = 0
     for params in groups:
         qb = params.p ** params.m
-        qc = params.p ** ambient_level(params)
+        qc = params.p ** params.ambient_level
         cross = cross_validate(params)
         classes = conjugacy_classes(params)
         form = rng.choice(basis_characters(params))
