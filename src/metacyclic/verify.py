@@ -24,35 +24,33 @@ t = 0..s and (0, 0, 1), listed by `basis_characters`. The
 orthogonality/trace sums, minus their expected values, must vanish under
 the canonical basis reduction that CyclotomicElement uses.
 
-`DeepChecker` stores one value form per character, its row: the table's
-exponents on the h = #Irr class representatives, in class order, placed
-by `class_index` = (class_of, reps) from the brute-force conjugacy
-classes. Only the s + 2 basis tables are built in full, and
-`check_class_functions` certifies, cell by cell, that each equals its
-representative cells spread over class_of. A character's row is
-l X_t + u Y over the basis rows, None where X_t is None. That row spread
-over class_of is psi's table: the identity above holds cell by cell, and
-the basis tables, support included, are constant on every class. So every
-table is a class function, and every check after it reads rows only:
-- orthogonality weights each representative by its class size, which is
-  the full sum over G;
-- the Galois action compares sigma-scaled rows;
+`DeepChecker` builds only the s + 2 basis tables in full. A basis row is
+a table's exponents on the h = #Irr class representatives, in class order,
+placed by `class_index` = (class_of, firsts, sizes) from the brute-force
+classes, and `check_class_functions` certifies, cell by cell, that each
+basis table equals its row spread over class_of. By the identity above,
+psi's table is then l X_t + u Y over the basis rows spread over class_of,
+None where X_t is None: a class function. No per-character row exists;
+every later check reads the basis rows at the classes it needs:
+- orthogonality weights each class by its size, which is the full sum
+  over G, in one pass over the three or four basis rows a pair reads;
+- the Galois action compares alpha psi with its image class by class;
 - traces are compared on the representatives, which covers every element
   because the matrices satisfy the presentation relations (so their trace
   is a class function) and the table is a class function;
-- value agreement reads the row cell of each sampled element's class.
+- value agreement reads the two basis cells of each sampled element's class.
 The same (d, A, B) gives the monomial matrices: a -> diag(zeta^(r^c A))
 for c = 0..d-1, b -> the cyclic shift with zeta^(d B) in the last row.
 The deep checks tie this fast path to the exact slow one: the matrices
-must satisfy the presentation relations and reproduce the rows as traces
-on every class, and the rows must agree with `character_value` on random
+must satisfy the presentation relations and reproduce the values as traces
+on every class, and the values must agree with `character_value` on random
 elements.
 """
 
 from __future__ import annotations
 
 import random
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import cyclotomic
@@ -234,10 +232,11 @@ class CheckResult(NamedTuple):
 
 class DeepChecker:
     """Deepens one `CrossCheck`: takes its characters and Galois classes,
-    and caches the per-group state (p^C as `qc`, class index, basis tables,
-    rows) that the individual checks share. All checks are exact; `detail`
-    carries the work counts so suite logs show what actually ran. Sampled
-    checks draw from `rng`, Random(0) unless one is given."""
+    and caches the per-group state (p^C as `qc`, class index, basis tables
+    and rows) that the checks share; it keeps nothing per character. All
+    checks are exact; `detail` carries the work counts so suite logs show
+    what actually ran. Sampled checks draw from `rng`, Random(0) unless one
+    is given."""
 
     def __init__(self, cross: CrossCheck, rng: random.Random | None = None):
         check_oracle_bound(cross.params)
@@ -245,22 +244,20 @@ class DeepChecker:
         self.diff = cross.diff
         self.qc = self.params.p ** self.params.ambient_level
         self.rng = random.Random(0) if rng is None else rng
-        self._rows: dict[int, list[int | None]] = {}
 
     @cached_property
-    def class_index(self) -> tuple[list[int], list[tuple[int, int]]]:
-        """(class_of, reps), built in one pass over the flat-index classes
-        of `group.conjugacy_classes`: class_of[g] is the position of the
-        class of the element with flat index g = i * p^m + j, and reps lists
-        (the class's least element, class size) once per class, in class
-        order."""
-        class_of = [0] * self.params.order
-        reps = []
+    def class_index(self) -> tuple[list[int], list[int], list[int]]:
+        """(class_of, firsts, sizes), built in one pass over the flat-index
+        classes of `group.conjugacy_classes`: class_of[g] is the position of
+        the class of the element with flat index g = i * p^m + j, and firsts
+        and sizes hold each class's least element and size, in class order."""
+        class_of, firsts, sizes = [0] * self.params.order, [], []
         for c, cls in enumerate(conjugacy_classes(self.params)):
-            reps.append((cls[0], len(cls)))
+            firsts.append(cls[0])
+            sizes.append(len(cls))
             for g in cls:
                 class_of[g] = c
-        return class_of, reps
+        return class_of, firsts, sizes
 
     @cached_property
     def basis_tables(self) -> list[list[int | None]]:
@@ -270,21 +267,8 @@ class DeepChecker:
     @cached_property
     def basis_rows(self) -> list[list[int | None]]:
         """Each basis table's cells at the class representatives."""
-        reps = self.class_index[1]
-        return [[table[g] for g, _ in reps] for table in self.basis_tables]
-
-    def row(self, k: int) -> list[int | None]:
-        """Character k's row: its value-table exponents on the class
-        representatives, in class order. Built on first use as
-        l X_t + u Y mod p^C over the basis rows, None where X_t is None
-        (or where Y is, which only a corrupt Y table can be)."""
-        if k not in self._rows:
-            ch, qc = self.chars[k], self.qc
-            self._rows[k] = [
-                None if x is None or y is None else (ch.l * x + ch.u * y) % qc
-                for x, y in zip(self.basis_rows[ch.t], self.basis_rows[-1])
-            ]
-        return self._rows[k]
+        firsts = self.class_index[1]
+        return [[table[g] for g in firsts] for table in self.basis_tables]
 
     # -- individual checks ------------------------------------------------
 
@@ -305,42 +289,46 @@ class DeepChecker:
     def check_class_functions(self) -> CheckResult:
         """Characters are constant on brute-force conjugacy classes. Each
         basis table is read cell by cell: it must equal its row spread
-        over `class_of`, support (None) cells included. If so, every
-        character's row spread over class_of is its table, by the identity
-        psi = l X_t + u Y on S_t of the module docstring, and that table
-        is a class function. On failure, the detail names the first
+        over `class_of`, support (None) cells included. Then, by the
+        identity psi = l X_t + u Y on S_t of the module docstring, every
+        character's table is a class function, and every later check may
+        read the basis rows only. On failure, the detail names the first
         element of the first class that the first failing basis table is
-        not constant on.
-
-        Every later check reads rows only, which is exact because of this
-        check."""
-        class_of, reps = self.class_index
+        not constant on."""
+        class_of, firsts, _ = self.class_index
         for table, row in zip(self.basis_tables, self.basis_rows):
             if [row[c] for c in class_of] != table:
                 bad = min(c for c, e in zip(class_of, table) if e != row[c])
-                first = GroupElement(*divmod(reps[bad][0], self.params.p ** self.params.m))
+                first = GroupElement(*divmod(firsts[bad], self.params.p ** self.params.m))
                 return CheckResult("class_functions", False, f"in class of {first}")
         return CheckResult(
-            "class_functions", True, f"chars={len(self.chars)} classes={len(reps)}"
+            "class_functions", True, f"chars={len(self.chars)} classes={len(firsts)}"
         )
 
     def _vanishes(self, vec: list[int]) -> bool:
         """Whether sum_e vec[e] zeta_{p^C}^e is 0, i.e. reduces to the zero
         vector: the zero test of an orthogonality or trace sum minus its value."""
-        params = self.params
-        return not any(cyclotomic.reduce_power_vector(params.p, params.ambient_level, vec))
+        p, level = self.params.p, self.params.ambient_level
+        return not any(vec) or not any(cyclotomic.reduce_power_vector(p, level, vec))
 
     def _pair_orthogonal(self, x: int, y: int) -> bool:
-        """sum_g psi_x(g) conj(psi_y(g)) == |G| [x = y], with the sum taken
-        as sum_K |K| psi_x(g_K) conj(psi_y(g_K)) over one representative g_K
-        of every conjugacy class K: equal to the sum over all of G when
-        both tables are class functions."""
-        qc = self.qc
-        coeff = self.chars[x].degree * self.chars[y].degree
+        """sum_g psi_x(g) conj(psi_y(g)) == |G| [x = y], as the sum over G
+        of the class functions: sum_K |K| psi_x(g_K) conj(psi_y(g_K)) over
+        one representative g_K per class K, in one pass over the basis rows,
+        where the exponent at K is l_x X_tx - l_y X_ty + (u_x - u_y) Y."""
+        qc, cx, cy = self.qc, self.chars[x], self.chars[y]
+        sizes, rows, du = self.class_index[2], self.basis_rows, cx.u - cy.u
         acc = [0] * qc
-        for (_, size), e1, e2 in zip(self.class_index[1], self.row(x), self.row(y)):
-            if e1 is not None and e2 is not None:
-                acc[(e1 - e2) % qc] += coeff * size
+        if cx.t == cy.t:
+            dl = cx.l - cy.l
+            for size, e, f in zip(sizes, rows[cx.t], rows[-1]):
+                if e is not None and f is not None:
+                    acc[(dl * e + du * f) % qc] += size
+        else:
+            for size, e1, e2, f in zip(sizes, rows[cx.t], rows[cy.t], rows[-1]):
+                if e1 is not None and e2 is not None and f is not None:
+                    acc[(cx.l * e1 - cy.l * e2 + du * f) % qc] += size
+        acc = [cx.degree * cy.degree * a for a in acc]
         if x == y:
             acc[0] -= self.params.order
         return self._vanishes(acc)
@@ -349,30 +337,32 @@ class DeepChecker:
         """First orthogonality, exactly: sum_g psi(g) conj(psi'(g)) is |G|
         on the diagonal and 0 off it. All pairs for |G| <=
         EXHAUSTIVE_ORDER_BOUND, else ORTHOGONALITY_PAIRS random pairs plus
-        random diagonal entries."""
-        count = len(self.chars)
-        checked = 0
+        random diagonal entries. Pairs that read the same sum (equal t, l
+        and degree on each side, u_x - u_y and x == y) share one verdict."""
+        count, verdicts = len(self.chars), {}
+
+        def orthogonal(x: int, y: int) -> bool:
+            cx, cy = self.chars[x], self.chars[y]
+            key = (cx.t, cx.l, cx.degree, cy.t, cy.l, cy.degree, cx.u - cy.u, x == y)
+            if key not in verdicts:
+                verdicts[key] = self._pair_orthogonal(x, y)
+            return verdicts[key]
+
         if self.params.order <= EXHAUSTIVE_ORDER_BOUND:
             for x in range(count):
                 for y in range(x, count):
-                    if not self._pair_orthogonal(x, y):
-                        return CheckResult(
-                            "orthogonality", False, f"pair ({x}, {y})"
-                        )
-                    checked += 1
-            return CheckResult("orthogonality", True, f"all pairs ({checked})")
+                    if not orthogonal(x, y):
+                        return CheckResult("orthogonality", False, f"pair ({x}, {y})")
+            return CheckResult("orthogonality", True, f"all pairs ({count * (count + 1) // 2})")
         for _ in range(ORTHOGONALITY_PAIRS):
-            x = self.rng.randrange(count)
-            y = self.rng.randrange(count)
-            if not self._pair_orthogonal(x, y):
+            x, y = self.rng.randrange(count), self.rng.randrange(count)
+            if not orthogonal(x, y):
                 return CheckResult("orthogonality", False, f"pair ({x}, {y})")
-            checked += 1
         for _ in range(5):
             x = self.rng.randrange(count)
-            if not self._pair_orthogonal(x, x):
+            if not orthogonal(x, x):
                 return CheckResult("orthogonality", False, f"diagonal {x}")
-            checked += 1
-        return CheckResult("orthogonality", True, f"sampled pairs ({checked})")
+        return CheckResult("orthogonality", True, f"sampled pairs ({ORTHOGONALITY_PAIRS + 5})")
 
     def check_galois_action(self) -> CheckResult:
         """Parameter-level Galois action == value-level action: the image
@@ -380,32 +370,41 @@ class DeepChecker:
         the original value. Every character for every unit alpha for |G| <=
         EXHAUSTIVE_ORDER_BOUND, else GALOIS_SAMPLES random pairs. An image
         outside the character list fails the check."""
-        params, qc = self.params, self.qc
+        params, qc, rows = self.params, self.qc, self.basis_rows
         units = [a for a in range(1, qc) if a % params.p]
-        index = {ch: k for k, ch in enumerate(self.chars)}
+        listed = set(self.chars)
         if params.order <= EXHAUSTIVE_ORDER_BOUND:
-            work = [
-                (k, alpha) for k in range(len(self.chars)) for alpha in units
-            ]
+            work = [(k, alpha) for k in range(len(self.chars)) for alpha in units]
         else:
-            work = [
-                (self.rng.randrange(len(self.chars)), self.rng.choice(units))
-                for _ in range(GALOIS_SAMPLES)
-            ]
+            work = [(self.rng.randrange(len(self.chars)), self.rng.choice(units))
+                    for _ in range(GALOIS_SAMPLES)]
+
+        @lru_cache(maxsize=None)
+        def agree(t: int, t2: int, a: int, l2: int, b: int) -> bool:
+            # alpha psi_k - psi_im = a X_t - l2 X_t2 + b Y (module docstring):
+            # the supports agree, and the exponent is 0 mod p^C on them
+            if t == t2:  # one support, so only the exponents can differ
+                return not any(e is not None and f is not None and ((a - l2) * e + b * f) % qc
+                               for e, f in zip(rows[t], rows[-1]))
+            return not any(
+                f is not None and ((e1 is None) != (e2 is None) or (
+                    e1 is not None and (a * e1 - l2 * e2 + b * f) % qc))
+                for e1, e2, f in zip(rows[t], rows[t2], rows[-1])
+            )
+
         for k, alpha in work:
-            image = index.get(sigma_on_character(self.chars[k], alpha, params))
-            scaled = [None if e is None else e * alpha % qc for e in self.row(k)]
-            if image is None or scaled != self.row(image):
-                return CheckResult(
-                    "galois_action", False, f"char {k} alpha {alpha}"
-                )
+            ch = self.chars[k]
+            im = sigma_on_character(ch, alpha, params)
+            a, b = alpha * ch.l % qc, (alpha * ch.u - im.u) % qc
+            if im not in listed or not agree(ch.t, im.t, a, im.l, b):
+                return CheckResult("galois_action", False, f"char {k} alpha {alpha}")
         return CheckResult("galois_action", True, f"pairs checked={len(work)}")
 
     def check_matrix_relations(self) -> CheckResult:
         """For one sampled induced character per degree: the monomial
         matrices satisfy A^(p^n) = I, B^(p^m) = I, B A B^-1 = A^r, and their
-        traces match the row on every conjugacy class, hence on every group
-        element (see `_traces_match`)."""
+        traces match the character on every conjugacy class, hence on every
+        group element (see `_traces_match`)."""
         params = self.params
         p, n, m = params.p, params.n, params.m
         checked = []
@@ -427,41 +426,41 @@ class DeepChecker:
         return CheckResult("matrix_relations", True, f"degrees checked={checked}")
 
     def _traces_match(self, k: int, a_mat: MonomialMatrix, b_mat: MonomialMatrix) -> bool:
-        """tr(A^i B^j) == psi_k(a^i b^j) on the representative a^i b^j of
-        every conjugacy class, read from row k. A is diagonal, so A^i has
-        exponents i * exps. The trace minus the value must vanish.
+        """tr(A^i B^j) == psi_k(a^i b^j), read from the basis rows, on the
+        representative a^i b^j of every conjugacy class. A is diagonal, so
+        A^i has exponents i * exps. The trace minus the value must vanish.
 
         Once A and B satisfy the presentation relations (checked first by
         `check_matrix_relations`), a -> A, b -> B is a representation and
         its trace is a class function; so is the table, by
         `check_class_functions`. Equality on class representatives is then
         equality on every element."""
-        qc, qb = self.qc, self.params.p ** self.params.m
-        degree = self.chars[k].degree
+        qc, qb, ch = self.qc, self.params.p ** self.params.m, self.chars[k]
         d = len(a_mat.perm)
         b_pows = [MonomialMatrix.identity(qc, d)]
         for _ in range(qb - 1):
             b_pows.append(b_pows[-1] * b_mat)
-        for (g, _), expected in zip(self.class_index[1], self.row(k)):
+        for g, x, y in zip(self.class_index[1], self.basis_rows[ch.t], self.basis_rows[-1]):
             i, j = divmod(g, qb)
+            supported = x is not None and y is not None
             if j % d:  # shift permutation: zero diagonal, zero trace
-                if expected is not None:
+                if supported:
                     return False
                 continue
             bj = b_pows[j]
             vec = [0] * qc
             for c in range(d):
                 vec[(i * a_mat.exps[c] + bj.exps[c]) % qc] += 1
-            if expected is not None:
-                vec[expected] -= degree
+            if supported:
+                vec[(ch.l * x + ch.u * y) % qc] -= ch.degree
             if not self._vanishes(vec):
                 return False
         return True
 
     def check_value_function_agreement(self) -> CheckResult:
-        """Monomial exponent rows agree with the CyclotomicElement value
+        """Monomial exponents agree with the CyclotomicElement value
         function on VALUE_SAMPLES random elements (ties fast path to slow
-        path); each element reads the row cell of its class."""
+        path); each element reads the basis cells of its class."""
         params = self.params
         level = params.ambient_level
         qa, qb = params.p ** params.n, params.p ** params.m
@@ -469,11 +468,11 @@ class DeepChecker:
         for _ in range(VALUE_SAMPLES):
             k = self.rng.randrange(len(self.chars))
             i, j = self.rng.randrange(qa), self.rng.randrange(qb)
-            ch = self.chars[k]
+            ch, c = self.chars[k], class_of[i * qb + j]
             slow = character_value(ch, GroupElement(i, j), params)
-            e = self.row(k)[class_of[i * qb + j]]
-            fast = 0 if e is None else ch.degree * cyclotomic.root_power(
-                params.p, level, e)
+            x, y = self.basis_rows[ch.t][c], self.basis_rows[-1][c]
+            fast = 0 if x is None or y is None else ch.degree * cyclotomic.root_power(
+                params.p, level, ch.l * x + ch.u * y)
             if slow != fast:
                 return CheckResult(
                     "value_agreement", False, f"char {k} at ({i}, {j})"

@@ -398,10 +398,10 @@ def test_star_import_binds_the_home_module_objects():
         metacyclic.no_such_name
 
 
-# The whole `verify --deep` stderr report for one all-pairs group and one
-# sampled group (|G| = 729): the detail strings and the rng draw order of
-# the sampled checks are part of the output, and test_cli_contract.py pins
-# stdout only.
+# The whole `verify --deep` stderr report for one all-pairs group and two
+# sampled groups (|G| = 729 and 2401, the latter a benchmark deep group):
+# the detail strings and the rng draw order of the sampled checks are part
+# of the output, and test_cli_contract.py pins stdout only.
 DEEP_REPORTS = {
     "verify --p 3 --n 2 --m 2 --r 4 --deep": (
         "deep p=3 n=2 m=2 s=1 r=4 counts: OK classes=33 chars=33\n"
@@ -422,6 +422,16 @@ DEEP_REPORTS = {
         "deep p=3 n=4 m=2 s=1 r=28 value_agreement: OK samples=50\n"
         "deep p=3 n=4 m=2 s=1 r=28 rational_counts: OK degrees=[1, 2, 6, 18, 54]\n"
         "deep p=3 n=4 m=2 s=1 r=28 decomposition: OK\n"
+    ),
+    "verify --p 7 --n 2 --m 2 --s 1 --deep": (
+        "deep p=7 n=2 m=2 s=1 r=8 counts: OK classes=385 chars=385\n"
+        "deep p=7 n=2 m=2 s=1 r=8 class_functions: OK chars=385 classes=385\n"
+        "deep p=7 n=2 m=2 s=1 r=8 orthogonality: OK sampled pairs (105)\n"
+        "deep p=7 n=2 m=2 s=1 r=8 galois_action: OK pairs checked=40\n"
+        "deep p=7 n=2 m=2 s=1 r=8 matrix_relations: OK degrees checked=[7]\n"
+        "deep p=7 n=2 m=2 s=1 r=8 value_agreement: OK samples=50\n"
+        "deep p=7 n=2 m=2 s=1 r=8 rational_counts: OK degrees=[1, 6, 42]\n"
+        "deep p=7 n=2 m=2 s=1 r=8 decomposition: OK\n"
     ),
 }
 

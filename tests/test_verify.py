@@ -152,22 +152,50 @@ def test_deep_checker_full_suite():
         } <= names
 
 
+def _combine(ch, basis, qc):
+    """Character ch's cells over the basis rows (or tables) X_0..X_s, Y:
+    l X_t + u Y mod p^C, None where X_t or Y is None."""
+    return [
+        None if x is None or y is None else (ch.l * x + ch.u * y) % qc
+        for x, y in zip(basis[ch.t], basis[-1])
+    ]
+
+
+def _row(checker, k):
+    """Character k's exponents on the class representatives, read from the
+    basis rows the checks read."""
+    return _combine(checker.chars[k], checker.basis_rows, checker.qc)
+
+
+def _bump(checker, b, c):
+    """Poison basis row b at class c: a value moves by 1, a None becomes 0."""
+    row = checker.basis_rows[b]
+    row[c] = 0 if row[c] is None else (row[c] + 1) % checker.qc
+
+
 def test_orthogonality_detects_corruption():
-    # feed the checker a wrong row and make sure the pair sum notices
-    params = validate(3, 2, 1, 4)
-    checker = DeepChecker(cross_validate(params), rng=random.Random(0))
-    assert checker._pair_orthogonal(3, 4)
-    row = checker.row(3)
-    row[5] = (row[5] + 1) % 9  # poison the value at one class representative
-    assert not checker._pair_orthogonal(3, 4)
+    # one poisoned basis cell breaks a pair that reads it: a Y cell under a
+    # pair of linear characters, an X_0 and an X_1 cell under a pair of
+    # degrees 1 and 3, and an X_1 support cell under a diagonal entry
+    cross = cross_validate(validate(3, 2, 1, 4))  # 3 and 4 linear, 9 of degree 3
+    cases = [((3, 4), -1, 5), ((3, 9), 0, 9), ((3, 9), 1, 10), ((9, 9), 1, 1)]
+    for (x, y), b, c in cases:
+        checker = DeepChecker(cross)
+        assert checker._pair_orthogonal(x, y)
+        _bump(checker, b, c)
+        assert not checker._pair_orthogonal(x, y), (x, y, b, c)
+    # a Y cell turned to None drops its class from the diagonal sum
+    checker = DeepChecker(cross)
+    checker.basis_rows[-1][5] = None
+    assert not checker._pair_orthogonal(3, 3)
 
 
 def test_orthogonality_check_names_the_first_failing_entry():
-    # |G| = 27, all pairs in order: a poisoned cell of row 3 first breaks (0, 3)
+    # |G| = 27, all pairs in order: an X_1 cell is read by every pair with a
+    # degree-3 side, and the first of them is (0, 9)
     checker = DeepChecker(cross_validate(validate(3, 2, 1, 4)))
-    row = checker.row(3)
-    row[5] = (row[5] + 1) % 9
-    assert checker.check_orthogonality() == ("orthogonality", False, "pair (0, 3)")
+    _bump(checker, 1, 9)
+    assert checker.check_orthogonality() == ("orthogonality", False, "pair (0, 9)")
 
     # |G| = 3125, sampled: replay the draws of Random(3)
     cross = cross_validate(from_s(5, 3, 2, 1))
@@ -175,35 +203,63 @@ def test_orthogonality_check_names_the_first_failing_entry():
     replay = random.Random(3)
     pairs = [(replay.randrange(count), replay.randrange(count))
              for _ in range(verify.ORTHOGONALITY_PAIRS)]
-    diagonal = [replay.randrange(count) for _ in range(5)]
-    # character 700 is drawn for a diagonal entry but for no pair
-    assert 700 in diagonal and not any(700 in pair for pair in pairs)
-    checker = DeepChecker(cross, rng=random.Random(3))
-    row = checker.row(700)
-    row[row.index(None)] = 0
-    assert checker.check_orthogonality() == ("orthogonality", False, "diagonal 700")
+    # the identity's cells are 0 and never None: poisoning Y there breaks
+    # the first drawn pair with u_x != u_y; poisoning X_1 there breaks the
+    # first that reads X_1, here one of degree 1 and one of degree 5
+    chars = cross.chars
+    first_y = next(pair for pair in pairs if chars[pair[0]].u != chars[pair[1]].u)
+    first_x = next(pair for pair in pairs if 1 in (chars[pair[0]].t, chars[pair[1]].t))
+    assert (first_y, first_x) == ((243, 606), (485, 640))
+    for b, first in ((-1, first_y), (1, first_x)):
+        checker = DeepChecker(cross, rng=random.Random(3))
+        _bump(checker, b, 0)
+        assert checker.check_orthogonality() == ("orthogonality", False, f"pair {first}")
 
-    # the identity's cell is never None: poisoning it in row y breaks the
-    # first drawn pair with y on exactly one side
-    y = pairs[40][1]
-    first = next(pair for pair in pairs if (pair[0] == y) != (pair[1] == y))
-    assert first == (106, 671)
-    checker = DeepChecker(cross, rng=random.Random(3))
-    checker.row(y)[0] = 1
-    assert checker.check_orthogonality() == ("orthogonality", False, "pair (106, 671)")
+    # |G| = 6561, s = 3: the six characters of degree 27 are drawn for the
+    # fourth diagonal entry and for no pair, so an X_3 support cell breaks
+    # only that entry
+    cross = cross_validate(from_s(3, 4, 4, 3))
+    count = len(cross.chars)
+    top = [k for k, ch in enumerate(cross.chars) if ch.t == 3]
+    replay = random.Random(1845)
+    pairs = [(replay.randrange(count), replay.randrange(count))
+             for _ in range(verify.ORTHOGONALITY_PAIRS)]
+    diagonal = [replay.randrange(count) for _ in range(5)]
+    assert not set(top) & {k for pair in pairs for k in pair}
+    assert [k in top for k in diagonal] == [False, False, False, True, False]
+    assert diagonal[3] == 315
+    checker = DeepChecker(cross, rng=random.Random(1845))
+    _bump(checker, 3, checker.basis_rows[3].index(None))
+    assert checker.check_orthogonality() == ("orthogonality", False, "diagonal 315")
 
 
 def test_galois_action_check_is_not_vacuous():
-    # |G| = 27: every character under every unit; one poisoned row cell
-    # breaks the pairs that read that row as source or as image
+    # |G| = 27: every character under every unit; one poisoned basis cell
+    # breaks the pairs that read it: a Y cell, then an X_1 cell that only
+    # the degree-3 characters read
     params = validate(3, 2, 1, 4)
-    checker = DeepChecker(cross_validate(params), rng=random.Random(0))
-    assert checker.check_galois_action().ok
-    row = checker.row(4)
-    row[1] = (row[1] + 1) % 9
-    result = checker.check_galois_action()
-    assert not result.ok
-    assert result.detail.startswith("char ")
+    cross = cross_validate(params)
+    assert DeepChecker(cross).check_galois_action().ok
+    for b, c, detail in ((-1, 1, "char 1 alpha 4"), (1, 9, "char 9 alpha 4")):
+        checker = DeepChecker(cross)
+        _bump(checker, b, c)
+        assert checker.check_galois_action() == ("galois_action", False, detail)
+
+
+def test_galois_image_of_another_degree_fails_the_check(monkeypatch):
+    # under alpha = 2, a degree-3 character sent to the listed linear
+    # character 1, then character 1 sent to it: each image is in the list,
+    # but its support is not that of its source
+    cross = cross_validate(validate(3, 2, 1, 4))
+    k = next(k for k, ch in enumerate(cross.chars) if ch.t == 1)
+    real = verify.sigma_on_character
+    for source, image in ((k, 1), (1, k)):
+        def poisoned(ch, alpha, params, source=cross.chars[source], image=cross.chars[image]):
+            return image if (ch, alpha) == (source, 2) else real(ch, alpha, params)
+
+        monkeypatch.setattr(verify, "sigma_on_character", poisoned)
+        result = DeepChecker(cross).check_galois_action()
+        assert result == ("galois_action", False, f"char {source} alpha 2")
 
 
 def test_galois_image_outside_the_list_fails_the_check(escaping_galois_image):
@@ -231,22 +287,23 @@ def test_matrix_relation_check_is_not_vacuous():
     params = validate(3, 3, 2, 4)
     checker = DeepChecker(cross_validate(params), rng=random.Random(0))
     assert checker.check_matrix_relations().ok
-    # a poisoned b matrix, and separately a poisoned row, must each
-    # break the trace comparison
+    # a poisoned b matrix, and separately a poisoned X_1 or Y cell, must
+    # each break the trace comparison
     from metacyclic.verify import monomial_generators
 
-    k = next(k for k, c in enumerate(checker.chars) if c.degree == 3)
+    k = next(k for k, c in enumerate(checker.chars) if c.degree == 3 and c.u)  # reads Y
     a_mat, b_mat = monomial_generators(checker.chars[k], params)
     assert checker._traces_match(k, a_mat, b_mat)
     bad = b_mat.__class__(b_mat.modulus, b_mat.perm,
                           tuple((e + 1) % b_mat.modulus for e in b_mat.exps))
     assert not checker._traces_match(k, a_mat, bad)
 
-    qb, qc = params.p ** params.m, params.p ** params.ambient_level
-    row = checker.row(k)
+    qb = params.p ** params.m
     c = checker.class_index[0][3 * qb + 3]  # class of a^3 b^3: i = j = 0 mod d = 3
-    row[c] = (row[c] + 1) % qc
-    assert not checker._traces_match(k, a_mat, b_mat)
+    for b in (1, -1):
+        checker = DeepChecker(cross_validate(params))
+        _bump(checker, b, c)
+        assert not checker._traces_match(k, a_mat, b_mat)
 
 
 def _is_class_function(table, classes):
@@ -303,14 +360,15 @@ def test_class_rep_index_agrees_with_per_class_loop():
         if len(ks) * params.order > 10 ** 5:
             ks = ks[::max(1, len(ks) // 16)]
         for k in ks:
-            table = value_table(checker.chars[k], params)
+            table, row = value_table(checker.chars[k], params), _row(checker, k)
             assert _is_class_function(table, classes)
-            assert [checker.row(k)[c] for c in class_of] == table, (params, k)
+            assert [row[c] for c in class_of] == table, (params, k)
         # one poisoned table: the last element of the largest class
         poisoned = value_table(checker.chars[0], params)
         poisoned[max(classes, key=len)[-1]] += 1
         assert params.abelian or not _is_class_function(poisoned, classes)
-        assert [checker.row(0)[c] for c in class_of] != poisoned
+        row = _row(checker, 0)
+        assert [row[c] for c in class_of] != poisoned
 
 
 def _full_pair_orthogonal(checker, tables, x, y):
@@ -366,21 +424,30 @@ def test_class_representative_sums_match_full_group_walks():
             for y in range(count):
                 assert (checker._pair_orthogonal(x, y)
                         is _full_pair_orthogonal(checker, tables, x, y))
-        # the trivial character's row poisoned at one class, and its table on
-        # that whole class, class by class: a false verdict must agree too
-        class_of, reps = checker.class_index
-        row, clean = checker.row(0), tables[0]
+        # each basis row poisoned at one class, and its table on that whole
+        # class, class by class: the verdicts on the pairs among the first
+        # and last characters of each degree, every t_x != t_y included,
+        # must agree, false ones too
+        class_of, qc = checker.class_index[0], checker.qc
+        some = [pool[i] for t in range(params.s + 1) for i in (0, -1)
+                for pool in [[k for k, ch in enumerate(checker.chars) if ch.t == t]]]
+        clean = [list(row) for row in checker.basis_rows]
+        clean_tables = [value_table(form, params) for form in basis_characters(params)]
         verdicts = set()
-        for c in range(len(reps)):
-            row[c] = 1
-            tables[0] = [1 if class_of[g] == c else e for g, e in enumerate(clean)]
-            for y in range(count):
-                verdict = checker._pair_orthogonal(0, y)
-                assert verdict is _full_pair_orthogonal(checker, tables, 0, y), (c, y)
-                verdicts.add(verdict)
-            row[c] = 0
-        tables[0] = clean
-        assert verdicts == {True, False}
+        for b, row in enumerate(clean):
+            for c, e in enumerate(row):
+                _bump(checker, b, c)
+                basis = list(clean_tables)
+                basis[b] = [checker.basis_rows[b][c] if class_of[g] == c else v
+                            for g, v in enumerate(basis[b])]
+                poisoned = {k: _combine(checker.chars[k], basis, qc) for k in some}
+                for x in some:
+                    for y in some:
+                        verdict = checker._pair_orthogonal(x, y)
+                        assert verdict is _full_pair_orthogonal(checker, poisoned, x, y), (b, c)
+                        verdicts.add(verdict)
+                checker.basis_rows[b][c] = e
+        assert checker.basis_rows == clean and verdicts == {True, False}
         for degree in sorted({ch.degree for ch in checker.chars} - {1}):
             pool = [k for k, ch in enumerate(checker.chars) if ch.degree == degree]
             for k, other in zip(pool, pool[1:] + pool[:1]):
@@ -476,7 +543,7 @@ def test_run_all_fails_on_each_poison(monkeypatch):
 @pytest.mark.parametrize("p, n, m, r", [(3, 3, 2, 7), (5, 2, 1, 6)])
 def test_run_all_builds_only_the_basis_tables(monkeypatch, p, n, m, r):
     # s + 2 tables per group, each built once, all by the class-function
-    # check; every row comes from the basis rows
+    # check; every later check reads their rows
     params = validate(p, n, m, r)
     built = []
 
@@ -489,8 +556,7 @@ def test_run_all_builds_only_the_basis_tables(monkeypatch, p, n, m, r):
     assert all(res.ok for res in checker.run_all())
     assert built == basis_characters(params) and len(built) == params.s + 2
     h = len(checker.class_index[1])
-    assert all(len(checker.row(k)) == h for k in range(len(checker.chars)))
-    assert len(built) == params.s + 2  # the rows built no table
+    assert [len(row) for row in checker.basis_rows] == [h] * (params.s + 2)
 
 
 def _class_function_reference(table, classes, qb):
