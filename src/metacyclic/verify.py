@@ -50,7 +50,7 @@ elements.
 from __future__ import annotations
 
 import random
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 from . import cyclotomic
@@ -311,56 +311,53 @@ class DeepChecker:
         p, level = self.params.p, self.params.ambient_level
         return not any(vec) or not any(cyclotomic.reduce_power_vector(p, level, vec))
 
-    def _pair_orthogonal(self, x: int, y: int) -> bool:
+    def _pair_orthogonal(self, x: int, y: int, verdicts: dict | None = None) -> bool:
         """sum_g psi_x(g) conj(psi_y(g)) == |G| [x = y], as the sum over G
         of the class functions: sum_K |K| psi_x(g_K) conj(psi_y(g_K)) over
         one representative g_K per class K, in one pass over the basis rows,
-        where the exponent at K is l_x X_tx - l_y X_ty + (u_x - u_y) Y."""
-        qc, cx, cy = self.qc, self.chars[x], self.chars[y]
-        sizes, rows, du = self.class_index[2], self.basis_rows, cx.u - cy.u
-        acc = [0] * qc
-        if cx.t == cy.t:
-            dl = cx.l - cy.l
-            for size, e, f in zip(sizes, rows[cx.t], rows[-1]):
-                if e is not None and f is not None:
-                    acc[(dl * e + du * f) % qc] += size
-        else:
-            for size, e1, e2, f in zip(sizes, rows[cx.t], rows[cy.t], rows[-1]):
-                if e1 is not None and e2 is not None and f is not None:
-                    acc[(cx.l * e1 - cy.l * e2 + du * f) % qc] += size
-        acc = [cx.degree * cy.degree * a for a in acc]
-        if x == y:
-            acc[0] -= self.params.order
-        return self._vanishes(acc)
+        where the exponent at K is l_x X_tx - l_y X_ty + (u_x - u_y) Y.
+        The sum reads the pair through `key` only, so pairs of one key share
+        the verdict stored in `verdicts`."""
+        cx, cy = self.chars[x], self.chars[y]
+        key = (cx.t, cx.l, cy.t, cy.l, cx.u - cy.u, cx.degree * cy.degree, x == y)
+        verdicts = {} if verdicts is None else verdicts
+        if key not in verdicts:
+            tx, lx, ty, ly, du, coeff, diagonal = key
+            qc, sizes, rows = self.qc, self.class_index[2], self.basis_rows
+            acc = [0] * qc
+            if tx == ty:
+                for size, e, f in zip(sizes, rows[tx], rows[-1]):
+                    if e is not None and f is not None:
+                        acc[((lx - ly) * e + du * f) % qc] += size
+            else:
+                for size, e1, e2, f in zip(sizes, rows[tx], rows[ty], rows[-1]):
+                    if e1 is not None and e2 is not None and f is not None:
+                        acc[(lx * e1 - ly * e2 + du * f) % qc] += size
+            acc = [coeff * a for a in acc]
+            if diagonal:
+                acc[0] -= self.params.order
+            verdicts[key] = self._vanishes(acc)
+        return verdicts[key]
 
     def check_orthogonality(self) -> CheckResult:
         """First orthogonality, exactly: sum_g psi(g) conj(psi'(g)) is |G|
         on the diagonal and 0 off it. All pairs for |G| <=
         EXHAUSTIVE_ORDER_BOUND, else ORTHOGONALITY_PAIRS random pairs plus
-        random diagonal entries. Pairs that read the same sum (equal t, l
-        and degree on each side, u_x - u_y and x == y) share one verdict."""
+        random diagonal entries; each distinct sum is computed once."""
         count, verdicts = len(self.chars), {}
-
-        def orthogonal(x: int, y: int) -> bool:
-            cx, cy = self.chars[x], self.chars[y]
-            key = (cx.t, cx.l, cx.degree, cy.t, cy.l, cy.degree, cx.u - cy.u, x == y)
-            if key not in verdicts:
-                verdicts[key] = self._pair_orthogonal(x, y)
-            return verdicts[key]
-
         if self.params.order <= EXHAUSTIVE_ORDER_BOUND:
             for x in range(count):
                 for y in range(x, count):
-                    if not orthogonal(x, y):
+                    if not self._pair_orthogonal(x, y, verdicts):
                         return CheckResult("orthogonality", False, f"pair ({x}, {y})")
             return CheckResult("orthogonality", True, f"all pairs ({count * (count + 1) // 2})")
         for _ in range(ORTHOGONALITY_PAIRS):
             x, y = self.rng.randrange(count), self.rng.randrange(count)
-            if not orthogonal(x, y):
+            if not self._pair_orthogonal(x, y, verdicts):
                 return CheckResult("orthogonality", False, f"pair ({x}, {y})")
         for _ in range(5):
             x = self.rng.randrange(count)
-            if not orthogonal(x, x):
+            if not self._pair_orthogonal(x, x, verdicts):
                 return CheckResult("orthogonality", False, f"diagonal {x}")
         return CheckResult("orthogonality", True, f"sampled pairs ({ORTHOGONALITY_PAIRS + 5})")
 
@@ -369,7 +366,7 @@ class DeepChecker:
         character's value at every class representative is sigma_alpha of
         the original value. Every character for every unit alpha for |G| <=
         EXHAUSTIVE_ORDER_BOUND, else GALOIS_SAMPLES random pairs. An image
-        outside the character list fails the check."""
+        outside the character list, or of another t or degree, fails."""
         params, qc, rows = self.params, self.qc, self.basis_rows
         units = [a for a in range(1, qc) if a % params.p]
         listed = set(self.chars)
@@ -378,25 +375,15 @@ class DeepChecker:
         else:
             work = [(self.rng.randrange(len(self.chars)), self.rng.choice(units))
                     for _ in range(GALOIS_SAMPLES)]
-
-        @lru_cache(maxsize=None)
-        def agree(t: int, t2: int, a: int, l2: int, b: int) -> bool:
-            # alpha psi_k - psi_im = a X_t - l2 X_t2 + b Y (module docstring):
-            # the supports agree, and the exponent is 0 mod p^C on them
-            if t == t2:  # one support, so only the exponents can differ
-                return not any(e is not None and f is not None and ((a - l2) * e + b * f) % qc
-                               for e, f in zip(rows[t], rows[-1]))
-            return not any(
-                f is not None and ((e1 is None) != (e2 is None) or (
-                    e1 is not None and (a * e1 - l2 * e2 + b * f) % qc))
-                for e1, e2, f in zip(rows[t], rows[t2], rows[-1])
-            )
-
         for k, alpha in work:
             ch = self.chars[k]
             im = sigma_on_character(ch, alpha, params)
-            a, b = alpha * ch.l % qc, (alpha * ch.u - im.u) % qc
-            if im not in listed or not agree(ch.t, im.t, a, im.l, b):
+            a, b = (alpha * ch.l - im.l) % qc, (alpha * ch.u - im.u) % qc
+            # sigma_alpha fixes psi(1) = p^t, so the image keeps t and the
+            # degree; alpha psi_k - psi_im = a X_t + b Y on S_t (module docstring)
+            if im not in listed or (im.t, im.degree) != (ch.t, ch.degree) or any(
+                    e is not None and f is not None and (a * e + b * f) % qc
+                    for e, f in zip(rows[ch.t], rows[-1])):
                 return CheckResult("galois_action", False, f"char {k} alpha {alpha}")
         return CheckResult("galois_action", True, f"pairs checked={len(work)}")
 

@@ -247,15 +247,19 @@ def test_galois_action_check_is_not_vacuous():
 
 
 def test_galois_image_of_another_degree_fails_the_check(monkeypatch):
-    # under alpha = 2, a degree-3 character sent to the listed linear
-    # character 1, then character 1 sent to it: each image is in the list,
-    # but its support is not that of its source
+    # under alpha = 2, the linear character 3 = (t, l, u) = (0, 1, 0) sent to
+    # the listed degree-3 character 10 = (1, 2, 0), then character 9 = (1, 1, 0)
+    # sent to the linear character 6 = (0, 2, 0): alpha l - l' = alpha u - u' = 0,
+    # so alpha psi - psi' vanishes on the source's support, and only the
+    # degree, which sigma_alpha keeps, tells each image from the true one
     cross = cross_validate(validate(3, 2, 1, 4))
-    k = next(k for k, ch in enumerate(cross.chars) if ch.t == 1)
     real = verify.sigma_on_character
-    for source, image in ((k, 1), (1, k)):
-        def poisoned(ch, alpha, params, source=cross.chars[source], image=cross.chars[image]):
-            return image if (ch, alpha) == (source, 2) else real(ch, alpha, params)
+    for source, image in ((3, 10), (9, 6)):
+        src, img = cross.chars[source], cross.chars[image]
+        assert src.degree != img.degree and (2 * src.l - img.l, 2 * src.u - img.u) == (0, 0)
+
+        def poisoned(ch, alpha, params, src=src, img=img):
+            return img if (ch, alpha) == (src, 2) else real(ch, alpha, params)
 
         monkeypatch.setattr(verify, "sigma_on_character", poisoned)
         result = DeepChecker(cross).check_galois_action()
