@@ -311,7 +311,7 @@ class DeepChecker:
         p, level = self.params.p, self.params.ambient_level
         return not any(vec) or not any(cyclotomic.reduce_power_vector(p, level, vec))
 
-    def _pair_orthogonal(self, x: int, y: int, verdicts: dict | None = None) -> bool:
+    def _pair_orthogonal(self, x: int, y: int, verdicts: dict) -> bool:
         """sum_g psi_x(g) conj(psi_y(g)) == |G| [x = y], as the sum over G
         of the class functions: sum_K |K| psi_x(g_K) conj(psi_y(g_K)) over
         one representative g_K per class K, in one pass over the basis rows,
@@ -320,7 +320,6 @@ class DeepChecker:
         the verdict stored in `verdicts`."""
         cx, cy = self.chars[x], self.chars[y]
         key = (cx.t, cx.l, cy.t, cy.l, cx.u - cy.u, cx.degree * cy.degree, x == y)
-        verdicts = {} if verdicts is None else verdicts
         if key not in verdicts:
             tx, lx, ty, ly, du, coeff, diagonal = key
             qc, sizes, rows = self.qc, self.class_index[2], self.basis_rows

@@ -181,13 +181,13 @@ def test_orthogonality_detects_corruption():
     cases = [((3, 4), -1, 5), ((3, 9), 0, 9), ((3, 9), 1, 10), ((9, 9), 1, 1)]
     for (x, y), b, c in cases:
         checker = DeepChecker(cross)
-        assert checker._pair_orthogonal(x, y)
+        assert checker._pair_orthogonal(x, y, {})
         _bump(checker, b, c)
-        assert not checker._pair_orthogonal(x, y), (x, y, b, c)
+        assert not checker._pair_orthogonal(x, y, {}), (x, y, b, c)
     # a Y cell turned to None drops its class from the diagonal sum
     checker = DeepChecker(cross)
     checker.basis_rows[-1][5] = None
-    assert not checker._pair_orthogonal(3, 3)
+    assert not checker._pair_orthogonal(3, 3, {})
 
 
 def test_orthogonality_check_names_the_first_failing_entry():
@@ -426,7 +426,7 @@ def test_class_representative_sums_match_full_group_walks():
         count = len(checker.chars)
         for x in range(count):
             for y in range(count):
-                assert (checker._pair_orthogonal(x, y)
+                assert (checker._pair_orthogonal(x, y, {})
                         is _full_pair_orthogonal(checker, tables, x, y))
         # each basis row poisoned at one class, and its table on that whole
         # class, class by class: the verdicts on the pairs among the first
@@ -447,7 +447,7 @@ def test_class_representative_sums_match_full_group_walks():
                 poisoned = {k: _combine(checker.chars[k], basis, qc) for k in some}
                 for x in some:
                     for y in some:
-                        verdict = checker._pair_orthogonal(x, y)
+                        verdict = checker._pair_orthogonal(x, y, {})
                         assert verdict is _full_pair_orthogonal(checker, poisoned, x, y), (b, c)
                         verdicts.add(verdict)
                 checker.basis_rows[b][c] = e
