@@ -17,8 +17,23 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .arith import _valuation, check_odd_prime, phi_pk
-from .errors import ValidationError
+from .arith import FORMULA_ORDER_BOUND, _valuation, check_odd_prime, phi_pk
+from .errors import SizeBoundError, ValidationError
+
+
+def _check_level(p: int, level: int) -> None:
+    """The checks on (p, level), before p^level is computed: p is an odd
+    prime, level >= 0, and p^level <= FORMULA_ORDER_BOUND by the test that
+    `group._check_shape` makes on n + m. Every admissible group meets it,
+    since p^C <= |G|."""
+    check_odd_prime(p)
+    if level < 0:
+        raise ValidationError(f"level must be >= 0, got {level}")
+    # 2^bit_length > bound, so a longer exponent exceeds it for every p
+    if level > FORMULA_ORDER_BOUND.bit_length() or p ** level > FORMULA_ORDER_BOUND:
+        raise SizeBoundError(
+            f"p^level = {p}^{level} exceeds the supported bound {FORMULA_ORDER_BOUND}"
+        )
 
 
 def reduce_power_vector(p: int, level: int, vec) -> list:
@@ -30,9 +45,7 @@ def reduce_power_vector(p: int, level: int, vec) -> list:
     exponents phi..p^level-1 because each rewrite only adds mass strictly
     below phi. p and level are checked here, before p^level is allocated.
     """
-    check_odd_prime(p)
-    if level < 0:
-        raise ValidationError(f"level must be >= 0, got {level}")
+    _check_level(p, level)
     q = p ** level
     phi = phi_pk(p, level)
     acc = [0] * q
@@ -257,9 +270,7 @@ def _common(x: CyclotomicElement, y: CyclotomicElement):
 
 def root_power(p: int, level: int, e: int) -> CyclotomicElement:
     """zeta_{p^level}^e, canonically reduced; e is taken mod p^level."""
-    check_odd_prime(p)
-    if level < 0:
-        raise ValidationError(f"level must be >= 0, got {level}")
+    _check_level(p, level)
     q = p ** level
     e %= q
     phi = phi_pk(p, level)

@@ -21,8 +21,10 @@ The exponent is l X_t + u Y mod p^C on the support S_t = {d | i, d | j},
 where X_t = p^(s-t) p^(C-n) i mod p^C on S_t (None off it) and
 Y = p^(C-m) j mod p^C are the tables of the basis forms (t, 1, 0) for
 t = 0..s and (0, 0, 1), listed by `basis_characters`. The
-orthogonality/trace sums, minus their expected values, must vanish under
-the canonical basis reduction that CyclotomicElement uses.
+orthogonality/trace sums, minus their expected values, must vanish. As
+Phi_{p^C}(x) = Phi_p(x^(p^(C-1))), the p-gons {e + k p^(C-1)} span the
+integer relations among the p^C-th roots of unity (Lam-Leung, 2000), so
+sum_e c_e zeta^e = 0 exactly when c is unchanged by e -> e + p^(C-1).
 
 `DeepChecker` builds only the s + 2 basis tables in full. A basis row is
 a table's exponents on the h = #Irr class representatives, in class order,
@@ -305,11 +307,11 @@ class DeepChecker:
             "class_functions", True, f"chars={len(self.chars)} classes={len(firsts)}"
         )
 
-    def _vanishes(self, vec: list[int]) -> bool:
-        """Whether sum_e vec[e] zeta_{p^C}^e is 0, i.e. reduces to the zero
-        vector: the zero test of an orthogonality or trace sum minus its value."""
-        p, level = self.params.p, self.params.ambient_level
-        return not any(vec) or not any(cyclotomic.reduce_power_vector(p, level, vec))
+    def _vanishes(self, sums: dict[int, int]) -> bool:
+        """Whether sum_e sums[e] zeta_{p^C}^e is 0, by the module docstring's
+        shift test; `sums` holds every nonzero coefficient of a sum minus its value."""
+        step = self.qc // self.params.p  # C >= 1 for every group
+        return all(sums.get((e + step) % self.qc, 0) == c for e, c in sums.items())
 
     def _pair_orthogonal(self, x: int, y: int, verdicts: dict) -> bool:
         """sum_g psi_x(g) conj(psi_y(g)) == |G| [x = y], as the sum over G
@@ -332,10 +334,9 @@ class DeepChecker:
                 for size, e1, e2, f in zip(sizes, rows[tx], rows[ty], rows[-1]):
                     if e1 is not None and e2 is not None and f is not None:
                         acc[(lx * e1 - ly * e2 + du * f) % qc] += size
-            acc = [coeff * a for a in acc]
-            if diagonal:
-                acc[0] -= self.params.order
-            verdicts[key] = self._vanishes(acc)
+            sums = {e: coeff * a for e, a in enumerate(acc) if a}
+            sums[0] = sums.get(0, 0) - diagonal * self.params.order  # minus |G| [x = y]
+            verdicts[key] = self._vanishes(sums)
         return verdicts[key]
 
     def check_orthogonality(self) -> CheckResult:
@@ -414,7 +415,8 @@ class DeepChecker:
     def _traces_match(self, k: int, a_mat: MonomialMatrix, b_mat: MonomialMatrix) -> bool:
         """tr(A^i B^j) == psi_k(a^i b^j), read from the basis rows, on the
         representative a^i b^j of every conjugacy class. A is diagonal, so
-        A^i has exponents i * exps. The trace minus the value must vanish.
+        A^i B^j has zeta^(i A.exps[c] + B^j.exps[c]) on its diagonal at each
+        fixed point c of B^j. The trace minus the value must vanish.
 
         Once A and B satisfy the presentation relations (checked first by
         `check_matrix_relations`), a -> A, b -> B is a representation and
@@ -422,24 +424,21 @@ class DeepChecker:
         `check_class_functions`. Equality on class representatives is then
         equality on every element."""
         qc, qb, ch = self.qc, self.params.p ** self.params.m, self.chars[k]
-        d = len(a_mat.perm)
-        b_pows = [MonomialMatrix.identity(qc, d)]
-        for _ in range(qb - 1):
-            b_pows.append(b_pows[-1] * b_mat)
+        bj, diagonals = MonomialMatrix.identity(qc, len(a_mat.perm)), []
+        for _ in range(qb):  # (A.exps[c], B^j.exps[c]) at the fixed points c of B^j
+            diagonals.append([(a_mat.exps[c], bj.exps[c])
+                              for c, target in enumerate(bj.perm) if target == c])
+            bj = bj * b_mat
         for g, x, y in zip(self.class_index[1], self.basis_rows[ch.t], self.basis_rows[-1]):
             i, j = divmod(g, qb)
-            supported = x is not None and y is not None
-            if j % d:  # shift permutation: zero diagonal, zero trace
-                if supported:
-                    return False
-                continue
-            bj = b_pows[j]
-            vec = [0] * qc
-            for c in range(d):
-                vec[(i * a_mat.exps[c] + bj.exps[c]) % qc] += 1
-            if supported:
-                vec[(ch.l * x + ch.u * y) % qc] -= ch.degree
-            if not self._vanishes(vec):
+            sums = {}
+            for a, b in diagonals[j]:
+                e = (i * a + b) % qc
+                sums[e] = sums.get(e, 0) + 1
+            if x is not None and y is not None:
+                e = (ch.l * x + ch.u * y) % qc
+                sums[e] = sums.get(e, 0) - ch.degree
+            if not self._vanishes(sums):
                 return False
         return True
 

@@ -8,9 +8,10 @@ from metacyclic.cyclotomic import (
     CyclotomicElement,
     galois_apply,
     minimal_level,
+    reduce_power_vector,
     root_power,
 )
-from metacyclic.errors import ValidationError
+from metacyclic.errors import SizeBoundError, ValidationError
 
 
 def random_element(rng, p, max_level=3):
@@ -229,8 +230,6 @@ def test_immutable_and_round_trips_through_pickle_and_deepcopy():
 
 
 def test_reduce_power_vector_checks_level_before_allocating():
-    from metacyclic.cyclotomic import reduce_power_vector
-
     assert reduce_power_vector(3, 1, [1, 2, 3]) == [-2, -1]
     for call in (
         lambda: reduce_power_vector(3, -1, [1]),
@@ -240,3 +239,20 @@ def test_reduce_power_vector_checks_level_before_allocating():
         with pytest.raises(ValidationError) as exc:
             call()
         assert str(exc.value) == "level must be >= 0, got -1"
+
+
+def test_level_is_bounded_before_p_to_the_level_is_computed():
+    # p^C <= |G| <= 10^7 for every admissible group, so 3^15 is out of
+    # reach; without the bound, level 40 fails allocating [0] * phi and
+    # level 10^9 first computes a 1.6-Gbit power
+    for level in (15, 40, 10 ** 9):
+        for call in (
+            lambda: reduce_power_vector(3, level, [1]),
+            lambda: CyclotomicElement.from_power_vector(3, level, [1]),
+            lambda: root_power(3, level, 1),
+        ):
+            with pytest.raises(SizeBoundError) as exc:
+                call()
+            assert str(exc.value) == (
+                f"p^level = 3^{level} exceeds the supported bound 10000000"
+            )

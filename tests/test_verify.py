@@ -309,6 +309,54 @@ def test_matrix_relation_check_is_not_vacuous():
         _bump(checker, b, c)
         assert not checker._traces_match(k, a_mat, b_mat)
 
+    # B replaced by the identity, under degree-p characters with u = 0: at
+    # a^0 b^1, where p^t does not divide j, the trace is d and the value 0,
+    # so the comparison must read B^j at every class
+    for params, k in ((validate(3, 2, 1, 4), 9), (validate(3, 3, 2, 4), 27),
+                      (from_s(5, 3, 2, 1), 625)):
+        checker = DeepChecker(cross_validate(params))
+        ch = checker.chars[k]
+        assert (ch.degree, ch.u) == (params.p, 0)
+        a_mat, b_mat = monomial_generators(ch, params)
+        assert checker._traces_match(k, a_mat, b_mat)
+        assert not checker._traces_match(k, a_mat, MonomialMatrix.identity(checker.qc, ch.degree))
+
+
+def test_vanishes_agrees_with_the_reduction():
+    # the shift test against the canonical reduction, at p = 3, 5, 7 and
+    # C = 1, 2, 3: random sparse sums (zero entries included), sums of
+    # shifted p-gons (which vanish), and each with one coefficient moved
+    rng = random.Random(24)
+    for p in (3, 5, 7):
+        groups = [validate(p, 1, 1, 1, abelian=True), from_s(p, 2, 1, 1), from_s(p, 3, 1, 1)]
+        for level, params in enumerate(groups, start=1):
+            checker = DeepChecker(cross_validate(params))
+            qc = p ** level
+            assert (params.ambient_level, checker.qc) == (level, qc)
+            step, verdicts = qc // p, set()
+            for _ in range(60):
+                random_sums = {rng.randrange(qc): rng.randint(-3, 3)
+                               for _ in range(rng.randint(1, 8))}
+                gons = {}
+                for _ in range(rng.randint(1, 3)):
+                    base, coeff = rng.randrange(qc), rng.choice((-2, -1, 1, 2))
+                    for j in range(p):  # zeta^base (1 + zeta^step + ... ) = 0
+                        e = (base + j * step) % qc
+                        gons[e] = gons.get(e, 0) + coeff
+                assert checker._vanishes(gons)
+                moved = []
+                for sums in (random_sums, gons):
+                    e = rng.choice(list(sums))
+                    moved.append({**sums, e: sums[e] + rng.choice((-1, 1))})
+                for sums in [random_sums, gons] + moved:
+                    dense = [0] * qc
+                    for e, c in sums.items():
+                        dense[e] = c
+                    verdict = checker._vanishes(sums)
+                    assert verdict is (not any(reduce_power_vector(p, level, dense)))
+                    verdicts.add(verdict)
+            assert verdicts == {True, False}
+
 
 def _is_class_function(table, classes):
     """Reference: the per-class loop that the representative index replaced."""
