@@ -56,7 +56,7 @@ _HOME = {
     "complex_counts_closed_form": "formulas",
     "cross_validate": "verify",
     "decomposition_via_oracle": "verify",
-    "DeepChecker": "verify",
+    "DeepChecker": "deep",
     "MetacyclicError": "errors",
     "ValidationError": "errors",
     "SizeBoundError": "errors",

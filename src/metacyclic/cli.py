@@ -41,12 +41,12 @@ worker processes.
 Modules each command executes: `decompose`, and `counts` and `sweep`
 without `--oracle`, run only `cli`, `errors`, `arith`, `group`,
 `components` and `formulas`. The oracle modules `cyclotomic`,
-`complex_reps`, `rational` and `verify` are in sys.modules from the start
-but wait behind a LazyLoader until their first attribute access:
+`complex_reps`, `rational`, `verify` and `deep` are in sys.modules from
+the start but wait behind a LazyLoader until their first attribute access:
 `counts --kind complex --oracle` runs `complex_reps`,
 `--kind rational --oracle` also `rational`, and `verify` and
-`sweep --oracle` also `verify`. `cyclotomic` runs only when a character
-value is evaluated, i.e. under `verify --deep`.
+`sweep --oracle` also `verify`. `deep` (the deep checks) and `cyclotomic`
+(character values) run only under `verify --deep`.
 """
 
 from __future__ import annotations
@@ -100,12 +100,13 @@ def _lazy_module(name: str):
 # command reads one of its attributes. Commands read oracle functions as
 # module attributes at call time (`verify.cross_validate(...)`), so a
 # wrapper set on the module is the one called.
-# `complex_reps` and `verify` read `cyclotomic` at call time, and only to
+# `complex_reps` and `deep` read `cyclotomic` at call time, and only to
 # evaluate characters, so commands without `--deep` never execute it.
 _lazy_module("cyclotomic")
 complex_reps = _lazy_module("complex_reps")
 rational = _lazy_module("rational")
 verify = _lazy_module("verify")
+deep = _lazy_module("deep")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -260,7 +261,7 @@ def _verify_one(params: GroupParams, args) -> int:
             print(f"  {line}")
         return EXIT_MISMATCH
     if args.deep:
-        checker = verify.DeepChecker(result, rng=Random(args.seed))
+        checker = deep.DeepChecker(result, rng=Random(args.seed))
         failures = []
         for check in checker.run_all():
             status = "OK" if check.ok else "FAIL"

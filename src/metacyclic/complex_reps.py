@@ -10,12 +10,15 @@ irreducible (t, l, u, degree p^t) of G; t = 0 gives the linear characters
 alone reads `cyclotomic`, at call time, so enumerating characters never
 executes it.
 Value tables and explicit (monomial) matrices exist only inside the
-verification code, `verify.monomial_form` and `verify.monomial_generators`,
-which the deep checks compare against `character_value`.
+deep checks, `deep.monomial_form` and `deep.monomial_generators`, which
+compare them against `character_value`.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain, groupby, product
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import cyclotomic
@@ -34,6 +37,11 @@ class IrreducibleCharacter(NamedTuple):
     l: int
     u: int
     degree: int
+
+
+# IrreducibleCharacter from a (t, l, u, degree) tuple, built in C: the
+# NamedTuple's own __new__ is a Python function, one call per character
+_new_character = partial(tuple.__new__, IrreducibleCharacter)
 
 
 def canonical_orbit_label(params: GroupParams, l: int) -> int:
@@ -63,11 +71,8 @@ def orbit_decomposition(params: GroupParams) -> list[tuple[int, int]]:
     units = [l for l in range(1, p ** (n - s)) if l % p]
     for t in range(1, s + 1):
         orbits.extend((t, l) for l in units)
-    hits = [0] * p ** n
-    for t, l in orbits:
-        for k in orbit_members(params, t, l):
-            hits[k] += 1
-    if any(h != 1 for h in hits):
+    members = sorted(chain.from_iterable(orbit_members(params, t, l) for t, l in orbits))
+    if members != list(range(p ** n)):
         raise InternalInconsistencyError("orbits do not tile Irr(<a>)")
     return orbits
 
@@ -91,11 +96,10 @@ def enumerate_irreducibles(params: GroupParams) -> list[IrreducibleCharacter]:
     """
     check_oracle_bound(params)
     p, m = params.p, params.m
-    chars = [
-        IrreducibleCharacter(t, l, u, p ** t)
-        for t, l in orbit_decomposition(params)
-        for u in range(p ** (m - t))
-    ]
+    chars: list[IrreducibleCharacter] = []
+    for t, orbits in groupby(orbit_decomposition(params), itemgetter(0)):
+        labels = [l for _, l in orbits]
+        chars += map(_new_character, product((t,), labels, range(p ** (m - t)), (p ** t,)))
     if len(chars) != params.class_count:
         raise InternalInconsistencyError(
             f"character count {len(chars)} != {params.class_count}"

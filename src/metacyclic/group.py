@@ -157,7 +157,7 @@ def check_oracle_bound(params: GroupParams) -> None:
 @lru_cache(maxsize=128)
 def _r_power_table(params: GroupParams) -> tuple[int, ...]:
     """r^j mod p^n for j = 0..p^m-1: read by the group law, the conjugacy
-    walk, `complex_reps.orbit_members` and `verify.monomial_generators`."""
+    walk, `complex_reps.orbit_members` and `deep.monomial_generators`."""
     q = params.p ** params.n
     table = [1] * (params.p ** params.m)
     for j in range(1, len(table)):
@@ -205,7 +205,7 @@ def conjugate(x: GroupElement, g: GroupElement, params: GroupParams) -> GroupEle
 
 def conjugacy_classes(params: GroupParams) -> list[tuple[int, ...]]:
     """Exact partition of all p^(n+m) elements under conjugation, as sorted
-    tuples of flat indices i * p^m + j (the layout of `verify.value_table`),
+    tuples of flat indices i * p^m + j (the layout of `deep.value_table`),
     ordered by their least element.
 
     Orbit closure under conjugation by the two generators only; on a finite

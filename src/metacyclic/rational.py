@@ -18,7 +18,7 @@ which gives every character and its image as integer codes; the walk then
 runs on positions in the sorted list. `sigma_on_character` decodes the same
 pass for one character, so there is one statement of the action, and its
 agreement with the value-level action is checked at oracle scale in
-verify.py.
+deep.py.
 """
 
 from __future__ import annotations

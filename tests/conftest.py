@@ -27,11 +27,11 @@ def corrupted_closed_form(monkeypatch):
 
 @pytest.fixture
 def escaping_galois_image(monkeypatch):
-    """`verify.sigma_on_character` sending every degree-p character under
+    """`deep.sigma_on_character` sending every degree-p character under
     alpha = 2 to an image with u + p^m, which lies outside the list."""
-    from metacyclic import verify
+    from metacyclic import deep
 
-    real = verify.sigma_on_character
+    real = deep.sigma_on_character
 
     def poisoned(ch, alpha, params):
         image = real(ch, alpha, params)
@@ -39,4 +39,4 @@ def escaping_galois_image(monkeypatch):
             image = image._replace(u=image.u + params.p ** params.m)
         return image
 
-    monkeypatch.setattr(verify, "sigma_on_character", poisoned)
+    monkeypatch.setattr(deep, "sigma_on_character", poisoned)

@@ -13,12 +13,13 @@ import time
 from pathlib import Path
 
 from metacyclic.cyclotomic import CyclotomicElement
+from metacyclic.deep import DeepChecker
 from metacyclic.formulas import (
     complex_counts_closed_form,
     wedderburn_closed_form,
 )
 from metacyclic.group import conjugacy_classes, from_s, valid_parameter_sets, validate
-from metacyclic.verify import DeepChecker, cross_validate
+from metacyclic.verify import cross_validate
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

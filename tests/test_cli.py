@@ -307,7 +307,7 @@ def run(argv):
     return [code, out.getvalue(), err.getvalue()]
 
 def state():
-    oracle = ("cyclotomic", "complex_reps", "rational", "verify")
+    oracle = ("cyclotomic", "complex_reps", "rational", "verify", "deep")
     return {
         "executed": [name for name in oracle
                      if type(sys.modules["metacyclic." + name]) is types.ModuleType],
@@ -346,7 +346,8 @@ COUNTS_ORACLE = (
 def test_closed_form_commands_execute_no_oracle_module():
     # three phases in one interpreter: closed-form commands run no oracle
     # module; oracle commands that evaluate no character leave `cyclotomic`
-    # unexecuted (and `fractions` unloaded); `--deep` evaluates characters
+    # and `deep` unexecuted (and `fractions` unloaded); only `--deep` runs
+    # the deep checks and evaluates characters
     oracle = ["verify --p 3 --all --max-order 243", COUNTS_ORACLE[0],
               "counts --p 3 --n 4 --m 2 --r 10 --kind complex --oracle"]
     deep = "verify --p 3 --n 2 --m 2 --r 4 --deep"
@@ -378,7 +379,7 @@ def test_closed_form_commands_execute_no_oracle_module():
     assert (deep_code, deep_err) == (0, DEEP_REPORTS[deep])
     assert deep_out.startswith("VERIFIED p=3 n=2 m=2 s=1 r=4 |G|=81: ")
     assert doc["after_deep"] == {
-        "executed": ["cyclotomic", "complex_reps", "rational", "verify"],
+        "executed": ["cyclotomic", "complex_reps", "rational", "verify", "deep"],
         "stdlib": ["fractions", "decimal"],
     }
 
@@ -459,7 +460,7 @@ def test_verify_deep_failure_reports_and_exits_3(capsys, escaping_galois_image):
 def test_verify_deep_runs_each_oracle_stage_once(capsys, monkeypatch):
     # the deep checks read Irr(G), the Galois classes and the component
     # diff from the cross-check instead of computing them again
-    from metacyclic import verify
+    from metacyclic import deep, verify
     from metacyclic.group import validate
 
     stages = ["enumerate_irreducibles", "galois_classes", "wedderburn_closed_form"]
@@ -474,7 +475,7 @@ def test_verify_deep_runs_each_oracle_stage_once(capsys, monkeypatch):
     assert code == 0 and out.startswith("VERIFIED ")
     assert sorted(calls) == stages
     cross = verify.cross_validate(validate(3, 2, 2, 4))
-    checker = verify.DeepChecker(cross)
+    checker = deep.DeepChecker(cross)
     assert checker.chars is cross.chars and checker.galois is cross.classes
 
 

@@ -20,7 +20,7 @@ from metacyclic.group import (
     valid_parameter_sets,
     validate,
 )
-from metacyclic.verify import monomial_generators
+from metacyclic.deep import monomial_generators
 
 
 def degree_histogram(chars):
@@ -91,9 +91,20 @@ def test_label_is_minimum_of_orbit():
 
 def test_orbit_decomposition_rejects_bad_tiling(monkeypatch):
     params = validate(3, 4, 2, 10)
-    monkeypatch.setattr(complex_reps, "orbit_members", lambda params, t, l: [0])
-    with pytest.raises(InternalInconsistencyError):
-        orbit_decomposition(params)
+    real = complex_reps.orbit_members
+    # orbit (1, 1) trades its last member for the member of orbit (0, 0):
+    # the member count stays p^n, so only an exact tiling check rejects it
+    (taken,) = real(params, 0, 0)
+
+    def repeating(params, t, l):
+        members = real(params, t, l)
+        return members[:-1] + [taken] if (t, l) == (1, 1) else members
+
+    assert sum(len(repeating(params, *o)) for o in orbit_decomposition(params)) == 3 ** 4
+    for patched in (lambda params, t, l: [0], repeating):
+        monkeypatch.setattr(complex_reps, "orbit_members", patched)
+        with pytest.raises(InternalInconsistencyError, match="do not tile"):
+            orbit_decomposition(params)
 
 
 def test_orbit_decomposition_at_s0_is_all_singletons():
@@ -130,13 +141,20 @@ def test_enumeration_is_duplicate_free():
 def test_enumeration_is_the_documented_sorted_list():
     # every (t, l, u, p^t): t = 0 over all l < p^(n-s), t >= 1 over the
     # units l < p^(n-s), u < p^(m-t); `verify --deep` draws characters by
-    # index, so this order is part of its output
-    for params in (validate(3, 2, 1, 4), validate(3, 4, 2, 10), validate(5, 1, 2, 1, abelian=True)):
+    # index, so this order is part of its output. The characters are built
+    # in bulk, so each must still be an IrreducibleCharacter, on the whole
+    # p = 3, 5, 7 grid up to 10^4 (the `verify --all` grid) too
+    grid = [params for p in (3, 5, 7) for params in valid_parameter_sets(p, 10 ** 4)]
+    assert len(grid) == 44
+    for params in (validate(3, 2, 1, 4), validate(3, 4, 2, 10),
+                   validate(5, 1, 2, 1, abelian=True), *grid):
         p, n, m, s = params.p, params.n, params.m, params.s
-        expected = [(0, l, u, 1) for l in range(p ** (n - s)) for u in range(p ** m)]
+        expected = [
+            IrreducibleCharacter(0, l, u, 1) for l in range(p ** (n - s)) for u in range(p ** m)
+        ]
         for t in range(1, s + 1):
             expected += [
-                (t, l, u, p ** t)
+                IrreducibleCharacter(t, l, u, p ** t)
                 for l in range(1, p ** (n - s)) if l % p
                 for u in range(p ** (m - t))
             ]

@@ -76,7 +76,8 @@ def test_abelian_is_derived_from_s():
 
 
 def test_oracle_bound_is_one_check():
-    from metacyclic.verify import DeepChecker, cross_validate, decomposition_via_oracle
+    from metacyclic.deep import DeepChecker
+    from metacyclic.verify import cross_validate, decomposition_via_oracle
 
     check_oracle_bound(from_s(3, 7, 1, 1))  # 3^8 <= 10^4
     big = from_s(3, 8, 1, 1)  # 3^9 > 10^4

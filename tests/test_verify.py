@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from metacyclic import verify
+from metacyclic import deep
 from metacyclic.complex_reps import character_value, enumerate_irreducibles
 from metacyclic.components import SimpleComponent, WedderburnDecomposition
 from metacyclic.cyclotomic import CyclotomicElement, galois_apply, reduce_power_vector
@@ -15,16 +15,14 @@ from metacyclic.group import (
     valid_parameter_sets,
     validate,
 )
-from metacyclic.verify import (
+from metacyclic.deep import (
     DeepChecker,
     MonomialMatrix,
     basis_characters,
-    cross_validate,
-    decomposition_via_oracle,
-    diff_components,
     monomial_generators,
     value_table,
 )
+from metacyclic.verify import cross_validate, decomposition_via_oracle, diff_components
 
 
 def test_valid_parameter_sets_grid():
@@ -94,6 +92,16 @@ def test_deep_checks_pass_on_abelian_groups(p, n, m):
     # |G| <= 243: orthogonality and the Galois action run exhaustively
     results = DeepChecker(cross_validate(validate(p, n, m, 1, abelian=True))).run_all()
     assert all(r.ok for r in results), [(r.name, r.detail) for r in results if not r.ok]
+
+
+def test_verify_resolves_only_the_two_benchmark_names_from_deep():
+    from metacyclic import verify
+
+    assert verify.DeepChecker is deep.DeepChecker
+    assert verify.value_table is deep.value_table
+    for name in ("monomial_form", "MonomialMatrix", "CheckResult", "sigma_on_character"):
+        with pytest.raises(AttributeError):
+            getattr(verify, name)
 
 
 def test_monomial_exponent_against_character_value():
@@ -202,7 +210,7 @@ def test_orthogonality_check_names_the_first_failing_entry():
     count = len(cross.chars)
     replay = random.Random(3)
     pairs = [(replay.randrange(count), replay.randrange(count))
-             for _ in range(verify.ORTHOGONALITY_PAIRS)]
+             for _ in range(deep.ORTHOGONALITY_PAIRS)]
     # the identity's cells are 0 and never None: poisoning Y there breaks
     # the first drawn pair with u_x != u_y; poisoning X_1 there breaks the
     # first that reads X_1, here one of degree 1 and one of degree 5
@@ -223,7 +231,7 @@ def test_orthogonality_check_names_the_first_failing_entry():
     top = [k for k, ch in enumerate(cross.chars) if ch.t == 3]
     replay = random.Random(1845)
     pairs = [(replay.randrange(count), replay.randrange(count))
-             for _ in range(verify.ORTHOGONALITY_PAIRS)]
+             for _ in range(deep.ORTHOGONALITY_PAIRS)]
     diagonal = [replay.randrange(count) for _ in range(5)]
     assert not set(top) & {k for pair in pairs for k in pair}
     assert [k in top for k in diagonal] == [False, False, False, True, False]
@@ -253,7 +261,7 @@ def test_galois_image_of_another_degree_fails_the_check(monkeypatch):
     # so alpha psi - psi' vanishes on the source's support, and only the
     # degree, which sigma_alpha keeps, tells each image from the true one
     cross = cross_validate(validate(3, 2, 1, 4))
-    real = verify.sigma_on_character
+    real = deep.sigma_on_character
     for source, image in ((3, 10), (9, 6)):
         src, img = cross.chars[source], cross.chars[image]
         assert src.degree != img.degree and (2 * src.l - img.l, 2 * src.u - img.u) == (0, 0)
@@ -261,7 +269,7 @@ def test_galois_image_of_another_degree_fails_the_check(monkeypatch):
         def poisoned(ch, alpha, params, src=src, img=img):
             return img if (ch, alpha) == (src, 2) else real(ch, alpha, params)
 
-        monkeypatch.setattr(verify, "sigma_on_character", poisoned)
+        monkeypatch.setattr(deep, "sigma_on_character", poisoned)
         result = DeepChecker(cross).check_galois_action()
         assert result == ("galois_action", False, f"char {source} alpha 2")
 
@@ -293,8 +301,6 @@ def test_matrix_relation_check_is_not_vacuous():
     assert checker.check_matrix_relations().ok
     # a poisoned b matrix, and separately a poisoned X_1 or Y cell, must
     # each break the trace comparison
-    from metacyclic.verify import monomial_generators
-
     k = next(k for k, c in enumerate(checker.chars) if c.degree == 3 and c.u)  # reads Y
     a_mat, b_mat = monomial_generators(checker.chars[k], params)
     assert checker._traces_match(k, a_mat, b_mat)
@@ -387,7 +393,7 @@ def test_class_function_check_is_not_vacuous(monkeypatch):
         table = list(clean)
         g = cls[-1]
         table[g] = (table[g] + 1) % 9
-        monkeypatch.setattr(verify, "value_table", _poisoned_value_table(x0, table))
+        monkeypatch.setattr(deep, "value_table", _poisoned_value_table(x0, table))
         result = DeepChecker(cross_validate(params)).check_class_functions()
         assert result.ok is ok
         if not ok:
@@ -524,7 +530,7 @@ def test_run_all_catches_every_single_cell_poisoning(monkeypatch):
             for wrong in ((0,) if e is None else ((e + 1) % qc, None)):
                 poisoned = list(clean)
                 poisoned[g] = wrong
-                monkeypatch.setattr(verify, "value_table", _poisoned_value_table(form, poisoned))
+                monkeypatch.setattr(deep, "value_table", _poisoned_value_table(form, poisoned))
                 failed = [res.name for res in DeepChecker(cross).run_all() if not res.ok]
                 assert failed, (form, g, wrong)
                 poisonings += 1
@@ -544,7 +550,7 @@ def _move_one_element(classes):
 
 def _shifted_form(da, db):
     """A `monomial_form` with da added to A and B multiplied by db."""
-    form = verify.monomial_form
+    form = deep.monomial_form
 
     def fake(ch, params):
         d, a_exp, b_exp = form(ch, params)
@@ -567,7 +573,7 @@ def test_run_all_fails_on_each_poison(monkeypatch):
     def poison_cell(form, g, value):
         table = value_table(form, params)
         table[g] = value
-        monkeypatch.setattr(verify, "value_table", _poisoned_value_table(form, table))
+        monkeypatch.setattr(deep, "value_table", _poisoned_value_table(form, table))
 
     poison_cell(y, 19, 1)  # basis cell: Y(a^6 b) is 3, its class reads 3 everywhere
     assert failed()["class_functions"] == "in class of GroupElement(i=0, j=1)"
@@ -579,16 +585,16 @@ def test_run_all_fails_on_each_poison(monkeypatch):
     assert "class_functions" not in failed() and "orthogonality" in failed()
     monkeypatch.undo()
 
-    monkeypatch.setattr(verify, "conjugacy_classes", _move_one_element(conjugacy_classes))
+    monkeypatch.setattr(deep, "conjugacy_classes", _move_one_element(conjugacy_classes))
     assert failed()["class_functions"] == "in class of GroupElement(i=0, j=0)"
     monkeypatch.undo()
 
-    monkeypatch.setattr(verify, "monomial_form", _shifted_form(1, 1))
+    monkeypatch.setattr(deep, "monomial_form", _shifted_form(1, 1))
     assert "class_functions" in failed()
     monkeypatch.undo()
     # B doubled keeps every table a class function and every row a
     # character: only the slow path sees it
-    monkeypatch.setattr(verify, "monomial_form", _shifted_form(0, 2))
+    monkeypatch.setattr(deep, "monomial_form", _shifted_form(0, 2))
     assert list(failed()) == ["value_agreement"]
 
 
@@ -603,7 +609,7 @@ def test_run_all_builds_only_the_basis_tables(monkeypatch, p, n, m, r):
         built.append(ch)
         return value_table(ch, params)
 
-    monkeypatch.setattr(verify, "value_table", counting)
+    monkeypatch.setattr(deep, "value_table", counting)
     checker = DeepChecker(cross_validate(params))
     assert all(res.ok for res in checker.run_all())
     assert built == basis_characters(params) and len(built) == params.s + 2
@@ -665,7 +671,7 @@ def test_class_function_certificate_equals_full_spread(monkeypatch):
             poisoned[g] = value
         poisonings.append((poisoned, True))
         for poisoned, expected in poisonings:
-            monkeypatch.setattr(verify, "value_table", _poisoned_value_table(form, poisoned))
+            monkeypatch.setattr(deep, "value_table", _poisoned_value_table(form, poisoned))
             result = DeepChecker(cross).check_class_functions()
             ok, detail = _class_function_reference(poisoned, classes, qb)
             assert (result.ok, result.ok or result.detail) == (ok, ok or detail), params
