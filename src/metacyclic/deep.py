@@ -32,7 +32,7 @@ None where X_t is None: a class function. No per-character row exists;
 every later check reads the basis rows at the classes it needs:
 - orthogonality weights each class by its size, which is the full sum
   over G, in one pass over the three or four basis rows a pair reads;
-- the Galois action compares alpha psi with its image class by class;
+- the Galois action compares sigma_g psi with its image at every class;
 - traces are compared on the representatives, which covers every element
   because the matrices satisfy the presentation relations (so their trace
   is a class function) and the table is a class function;
@@ -52,6 +52,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import cyclotomic
+from .arith import unit_group_generator
 from .complex_reps import (
     IrreducibleCharacter,
     character_value,
@@ -65,7 +66,7 @@ from .group import (
     check_oracle_bound,
     conjugacy_classes,
 )
-from .rational import rational_counts_from_classes, sigma_on_character
+from .rational import _codes, rational_counts_from_classes
 from .verify import CrossCheck
 
 
@@ -157,11 +158,10 @@ def monomial_generators(
 # deep checks
 # ---------------------------------------------------------------------------
 
-# Sampling sizes of the deep checks: orthogonality and the Galois action
-# run exhaustively up to EXHAUSTIVE_ORDER_BOUND and on random draws above it.
+# Sampling sizes of the deep checks: orthogonality runs exhaustively up to
+# EXHAUSTIVE_ORDER_BOUND and on random draws above it.
 EXHAUSTIVE_ORDER_BOUND = 243
 ORTHOGONALITY_PAIRS = 100
-GALOIS_SAMPLES = 40
 VALUE_SAMPLES = 50
 
 
@@ -301,30 +301,30 @@ class DeepChecker:
         return CheckResult("orthogonality", True, f"sampled pairs ({ORTHOGONALITY_PAIRS + 5})")
 
     def check_galois_action(self) -> CheckResult:
-        """Parameter-level Galois action == value-level action: the image
-        character's value at every class representative is sigma_alpha of
-        the original value. Every character for every unit alpha for |G| <=
-        EXHAUSTIVE_ORDER_BOUND, else GALOIS_SAMPLES random pairs. An image
-        outside the character list, or of another t or degree, fails."""
-        params, qc, rows = self.params, self.qc, self.basis_rows
-        units = [a for a in range(1, qc) if a % params.p]
-        listed = set(self.chars)
-        if params.order <= EXHAUSTIVE_ORDER_BOUND:
-            work = [(k, alpha) for k in range(len(self.chars)) for alpha in units]
-        else:
-            work = [(self.rng.randrange(len(self.chars)), self.rng.choice(units))
-                    for _ in range(GALOIS_SAMPLES)]
-        for k, alpha in work:
-            ch = self.chars[k]
-            im = sigma_on_character(ch, alpha, params)
-            a, b = (alpha * ch.l - im.l) % qc, (alpha * ch.u - im.u) % qc
-            # sigma_alpha fixes psi(1) = p^t, so the image keeps t and the
-            # degree; alpha psi_k - psi_im = a X_t + b Y on S_t (module docstring)
-            if im not in listed or (im.t, im.degree) != (ch.t, ch.degree) or any(
-                    e is not None and f is not None and (a * e + b * f) % qc
-                    for e, f in zip(rows[ch.t], rows[-1])):
-                return CheckResult("galois_action", False, f"char {k} alpha {alpha}")
-        return CheckResult("galois_action", True, f"pairs checked={len(work)}")
+        """Parameter-level Galois action == value-level action, on every
+        character, under the generator sigma_g that `rational.galois_classes`
+        walks; g must have order phi(p^C) mod p^C. Each image from `_codes`
+        must be listed and keep t and the degree (sigma_g fixes psi(1)), and
+        g psi - psi' = a X_t + b Y on S_t, with a = g l - l', b = g u - u',
+        must be 0 mod p^C at every class; each (t, a, b) is checked once. As
+        sigma_(g^k) is sigma_g applied k times, the cycles of sigma_g are then
+        the value-level orbits under every unit alpha."""
+        params, qc, rows, chars = self.params, self.qc, self.basis_rows, self.chars
+        g, phi = unit_group_generator(params.p, params.ambient_level), qc - qc // params.p
+        if len({pow(g, k, qc) for k in range(1, phi + 1)}) != phi:  # g^1..g^phi distinct
+            return CheckResult("galois_action", False, f"alpha {g} not of order {phi}")
+        codes, images = _codes(chars, g, params)
+        listed, verdicts = dict(zip(codes, chars)), {}
+        for k, (ch, im) in enumerate(zip(chars, map(listed.get, images))):
+            if im is None or (im.t, im.degree) != (ch.t, ch.degree):
+                return CheckResult("galois_action", False, f"char {k} alpha {g}")
+            t, a, b = key = (ch.t, (g * ch.l - im.l) % qc, (g * ch.u - im.u) % qc)
+            if key not in verdicts:
+                verdicts[key] = not any(e is not None and f is not None and (a * e + b * f) % qc
+                                        for e, f in zip(rows[t], rows[-1]))
+            if not verdicts[key]:
+                return CheckResult("galois_action", False, f"char {k} alpha {g}")
+        return CheckResult("galois_action", True, f"chars={len(chars)} triples={len(verdicts)}")
 
     def check_matrix_relations(self) -> CheckResult:
         """For one sampled induced character per degree: the monomial

@@ -15,10 +15,8 @@ G/G' = C_{p^(n-s)} x C_{p^m}. The acting group
 conjugate: each class is walked as one cycle of sigma_g, one image per
 character. The action is applied to the whole list in one pass (`_codes`),
 which gives every character and its image as integer codes; the walk then
-runs on positions in the sorted list. `sigma_on_character` decodes the same
-pass for one character, so there is one statement of the action, and its
-agreement with the value-level action is checked at oracle scale in
-deep.py.
+runs on positions in the sorted list. deep.py certifies the same pass
+against the value-level action, on every character, under sigma_g.
 """
 
 from __future__ import annotations
@@ -109,7 +107,8 @@ def sigma_on_character(
     ch: IrreducibleCharacter, alpha: int, params: GroupParams
 ) -> IrreducibleCharacter:
     """The parameter-tuple form of psi^sigma_alpha (gcd(alpha, p) = 1),
-    decoded from the image code that `_codes` gives ch."""
+    decoded from the image code that `_codes` gives ch. Nothing in the
+    package calls it; the tests and the benchmark's tracer still name it."""
     (code,) = _codes([ch], alpha, params)[1]
     rest, u = divmod(code, params.p ** params.m)
     rest, l = divmod(rest, params.p ** (params.n - params.s))

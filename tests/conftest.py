@@ -27,16 +27,14 @@ def corrupted_closed_form(monkeypatch):
 
 @pytest.fixture
 def escaping_galois_image(monkeypatch):
-    """`deep.sigma_on_character` sending every degree-p character under
-    alpha = 2 to an image with u + p^m, which lies outside the list."""
+    """`deep._codes` giving every degree-p character the image code -1,
+    which no character has: codes are nonnegative."""
     from metacyclic import deep
 
-    real = deep.sigma_on_character
+    real = deep._codes
 
-    def poisoned(ch, alpha, params):
-        image = real(ch, alpha, params)
-        if alpha == 2 and ch.t == 1:
-            image = image._replace(u=image.u + params.p ** params.m)
-        return image
+    def poisoned(chars, alpha, params):
+        codes, images = real(chars, alpha, params)
+        return codes, [-1 if ch.t == 1 else im for ch, im in zip(chars, images)]
 
-    monkeypatch.setattr(deep, "sigma_on_character", poisoned)
+    monkeypatch.setattr(deep, "_codes", poisoned)

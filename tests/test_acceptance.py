@@ -211,8 +211,8 @@ def test_criterion_9_negative_controls():
 
 
 def test_criterion_5_supplement_value_level_galois():
-    # parameter-level Galois action == value-level action, exhaustively on
-    # groups of order <= 243 and sampled above
+    # parameter-level Galois action == value-level action, on every
+    # character under the generator sigma_g that the oracle walks
     for params in oracle_grid():
         checker = DeepChecker(cross_validate(params), rng=random.Random(55))
         result = checker.check_galois_action()

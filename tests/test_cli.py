@@ -408,7 +408,7 @@ DEEP_REPORTS = {
         "deep p=3 n=2 m=2 s=1 r=4 counts: OK classes=33 chars=33\n"
         "deep p=3 n=2 m=2 s=1 r=4 class_functions: OK chars=33 classes=33\n"
         "deep p=3 n=2 m=2 s=1 r=4 orthogonality: OK all pairs (561)\n"
-        "deep p=3 n=2 m=2 s=1 r=4 galois_action: OK pairs checked=198\n"
+        "deep p=3 n=2 m=2 s=1 r=4 galois_action: OK chars=33 triples=6\n"
         "deep p=3 n=2 m=2 s=1 r=4 matrix_relations: OK degrees checked=[3]\n"
         "deep p=3 n=2 m=2 s=1 r=4 value_agreement: OK samples=50\n"
         "deep p=3 n=2 m=2 s=1 r=4 rational_counts: OK degrees=[1, 2, 6]\n"
@@ -418,7 +418,7 @@ DEEP_REPORTS = {
         "deep p=3 n=4 m=2 s=1 r=28 counts: OK classes=297 chars=297\n"
         "deep p=3 n=4 m=2 s=1 r=28 class_functions: OK chars=297 classes=297\n"
         "deep p=3 n=4 m=2 s=1 r=28 orthogonality: OK sampled pairs (105)\n"
-        "deep p=3 n=4 m=2 s=1 r=28 galois_action: OK pairs checked=40\n"
+        "deep p=3 n=4 m=2 s=1 r=28 galois_action: OK chars=297 triples=8\n"
         "deep p=3 n=4 m=2 s=1 r=28 matrix_relations: OK degrees checked=[3]\n"
         "deep p=3 n=4 m=2 s=1 r=28 value_agreement: OK samples=50\n"
         "deep p=3 n=4 m=2 s=1 r=28 rational_counts: OK degrees=[1, 2, 6, 18, 54]\n"
@@ -428,7 +428,7 @@ DEEP_REPORTS = {
         "deep p=7 n=2 m=2 s=1 r=8 counts: OK classes=385 chars=385\n"
         "deep p=7 n=2 m=2 s=1 r=8 class_functions: OK chars=385 classes=385\n"
         "deep p=7 n=2 m=2 s=1 r=8 orthogonality: OK sampled pairs (105)\n"
-        "deep p=7 n=2 m=2 s=1 r=8 galois_action: OK pairs checked=40\n"
+        "deep p=7 n=2 m=2 s=1 r=8 galois_action: OK chars=385 triples=12\n"
         "deep p=7 n=2 m=2 s=1 r=8 matrix_relations: OK degrees checked=[7]\n"
         "deep p=7 n=2 m=2 s=1 r=8 value_agreement: OK samples=50\n"
         "deep p=7 n=2 m=2 s=1 r=8 rational_counts: OK degrees=[1, 6, 42]\n"

@@ -89,7 +89,7 @@ def test_general_oracle_on_every_small_abelian_group():
 
 @pytest.mark.parametrize("p, n, m", [(3, 1, 0), (3, 2, 2), (5, 1, 1), (3, 0, 3), (7, 1, 1)])
 def test_deep_checks_pass_on_abelian_groups(p, n, m):
-    # |G| <= 243: orthogonality and the Galois action run exhaustively
+    # |G| <= 243: orthogonality runs over all pairs
     results = DeepChecker(cross_validate(validate(p, n, m, 1, abelian=True))).run_all()
     assert all(r.ok for r in results), [(r.name, r.detail) for r in results if not r.ok]
 
@@ -242,34 +242,62 @@ def test_orthogonality_check_names_the_first_failing_entry():
 
 
 def test_galois_action_check_is_not_vacuous():
-    # |G| = 27: every character under every unit; one poisoned basis cell
-    # breaks the pairs that read it: a Y cell, then an X_1 cell that only
-    # the degree-3 characters read
+    # |G| = 27: every character under g = 2; one poisoned basis cell breaks
+    # the characters that read it: a Y cell, then an X_1 cell that only the
+    # degree-3 characters read. Character 10 shares its (a, b) with a linear
+    # character, so a verdict memo keyed without t would pass the X_1 cell
     params = validate(3, 2, 1, 4)
     cross = cross_validate(params)
-    assert DeepChecker(cross).check_galois_action().ok
-    for b, c, detail in ((-1, 1, "char 1 alpha 4"), (1, 9, "char 9 alpha 4")):
+    assert DeepChecker(cross).check_galois_action() == (
+        "galois_action", True, "chars=11 triples=6")
+    for b, c, detail in ((-1, 1, "char 2 alpha 2"), (1, 9, "char 10 alpha 2")):
         checker = DeepChecker(cross)
         _bump(checker, b, c)
         assert checker.check_galois_action() == ("galois_action", False, detail)
 
 
+def test_galois_action_checks_every_character_at_every_order():
+    # |G| = 2187, above EXHAUSTIVE_ORDER_BOUND: the X_2 cell at the class of
+    # b, off the support S_2, turned to 0. Only the 18 degree-9 characters of
+    # 315 read it, so a sample of characters can miss it
+    checker = DeepChecker(cross_validate(from_s(3, 4, 3, 2)))
+    assert checker.check_galois_action() == ("galois_action", True, "chars=315 triples=12")
+    assert checker.basis_rows[2][1] is None
+    _bump(checker, 2, 1)
+    assert checker.check_galois_action() == ("galois_action", False, "char 299 alpha 2")
+
+
+def test_galois_action_requires_a_generator(monkeypatch):
+    # p^C = 81, phi = 54, g = 2. sigma_8 = sigma_(g^3) and sigma_1 act on
+    # Irr(G) as well, so every image passes; only the order of g tells them
+    # from a generator, whose cycles are the full orbits
+    cross = cross_validate(from_s(3, 4, 3, 2))
+    real = deep.unit_group_generator
+    assert real(3, 4) == 2
+    for fake, g in ((lambda p, e: pow(real(p, e), p, p ** e), 8), (lambda p, e: 1, 1)):
+        monkeypatch.setattr(deep, "unit_group_generator", fake)
+        result = DeepChecker(cross).check_galois_action()
+        assert result == ("galois_action", False, f"alpha {g} not of order 54")
+
+
 def test_galois_image_of_another_degree_fails_the_check(monkeypatch):
-    # under alpha = 2, the linear character 3 = (t, l, u) = (0, 1, 0) sent to
+    # under g = 2, the linear character 3 = (t, l, u) = (0, 1, 0) sent to
     # the listed degree-3 character 10 = (1, 2, 0), then character 9 = (1, 1, 0)
-    # sent to the linear character 6 = (0, 2, 0): alpha l - l' = alpha u - u' = 0,
-    # so alpha psi - psi' vanishes on the source's support, and only the
-    # degree, which sigma_alpha keeps, tells each image from the true one
+    # sent to the linear character 6 = (0, 2, 0): g l - l' = g u - u' = 0,
+    # so g psi - psi' vanishes on the source's support, and only the
+    # degree, which sigma_g keeps, tells each image from the true one
     cross = cross_validate(validate(3, 2, 1, 4))
-    real = deep.sigma_on_character
+    real = deep._codes
     for source, image in ((3, 10), (9, 6)):
         src, img = cross.chars[source], cross.chars[image]
         assert src.degree != img.degree and (2 * src.l - img.l, 2 * src.u - img.u) == (0, 0)
 
-        def poisoned(ch, alpha, params, src=src, img=img):
-            return img if (ch, alpha) == (src, 2) else real(ch, alpha, params)
+        def poisoned(chars, alpha, params, source=source, image=image):
+            codes, images = real(chars, alpha, params)
+            images[source] = codes[image]
+            return codes, images
 
-        monkeypatch.setattr(deep, "sigma_on_character", poisoned)
+        monkeypatch.setattr(deep, "_codes", poisoned)
         result = DeepChecker(cross).check_galois_action()
         assert result == ("galois_action", False, f"char {source} alpha 2")
 
