@@ -35,9 +35,6 @@ _HOME = {
     "GroupParams": "group",
     "validate": "group",
     "from_s": "group",
-    "identity": "group",
-    "inverse": "group",
-    "multiply": "group",
     "conjugacy_classes": "group",
     "IrreducibleCharacter": "complex_reps",
     "orbit_decomposition": "complex_reps",

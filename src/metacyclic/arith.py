@@ -43,6 +43,16 @@ def check_odd_prime(p: int) -> None:
         raise ValidationError("p = 2 is out of scope (odd primes only)")
 
 
+def check_power_bound(p: int, e: int, name: str) -> None:
+    """Reject p^e > FORMULA_ORDER_BOUND before p^e is computed; `name`
+    says what p^e is in the message ("|G|", "p^level")."""
+    # 2^bit_length > bound, so a longer exponent exceeds it for every p
+    if e > FORMULA_ORDER_BOUND.bit_length() or p ** e > FORMULA_ORDER_BOUND:
+        raise SizeBoundError(
+            f"{name} = {p}^{e} exceeds the supported bound {FORMULA_ORDER_BOUND}"
+        )
+
+
 def phi_pk(p: int, exp: int) -> int:
     """Euler phi of p^exp for prime p, with phi(p^0) = 1. No validation."""
     if exp == 0:

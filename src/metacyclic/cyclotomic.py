@@ -17,23 +17,19 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .arith import FORMULA_ORDER_BOUND, _valuation, check_odd_prime, phi_pk
-from .errors import SizeBoundError, ValidationError
+from .arith import _valuation, check_odd_prime, check_power_bound, phi_pk
+from .errors import ValidationError
 
 
 def _check_level(p: int, level: int) -> None:
     """The checks on (p, level), before p^level is computed: p is an odd
-    prime, level >= 0, and p^level <= FORMULA_ORDER_BOUND by the test that
-    `group._check_shape` makes on n + m. Every admissible group meets it,
-    since p^C <= |G|."""
+    prime, level >= 0, and p^level <= FORMULA_ORDER_BOUND by
+    `arith.check_power_bound`, as `group._check_shape` bounds |G|. Every
+    admissible group meets it, since p^C <= |G|."""
     check_odd_prime(p)
     if level < 0:
         raise ValidationError(f"level must be >= 0, got {level}")
-    # 2^bit_length > bound, so a longer exponent exceeds it for every p
-    if level > FORMULA_ORDER_BOUND.bit_length() or p ** level > FORMULA_ORDER_BOUND:
-        raise SizeBoundError(
-            f"p^level = {p}^{level} exceeds the supported bound {FORMULA_ORDER_BOUND}"
-        )
+    check_power_bound(p, level, "p^level")
 
 
 def reduce_power_vector(p: int, level: int, vec) -> list:

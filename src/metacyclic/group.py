@@ -1,9 +1,9 @@
 """The split metacyclic p-group <a, b | a^(p^n) = b^(p^m) = 1, b a b^-1 = a^r>.
 
 Validated presentation parameters, the grid of every non-abelian (n, m, s)
-up to an order bound, normal-form elements a^i b^j, multiplication, and
-brute-force conjugacy classes of flat indices i * p^m + j. p is checked by
-`arith.check_odd_prime` and |G| against `arith.FORMULA_ORDER_BOUND`.
+up to an order bound, normal-form elements a^i b^j, and brute-force
+conjugacy classes of flat indices i * p^m + j. p is checked by
+`arith.check_odd_prime` and |G| by `arith.check_power_bound`.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .arith import FORMULA_ORDER_BOUND, check_odd_prime, split_r
+from .arith import check_odd_prime, check_power_bound, split_r
 from .errors import InternalInconsistencyError, SizeBoundError, ValidationError
 
-# The oracle routes walk every element of G: a tighter cap than
+# The oracle routes walk G or enumerate Irr(G): a tighter cap than
 # FORMULA_ORDER_BOUND, which `arith` defines for the checks on p and |G|.
 ORACLE_ORDER_BOUND = 10 ** 4
 
@@ -85,11 +85,7 @@ def _check_shape(p: int, n: int, m: int, abelian: bool) -> None:
             raise ValidationError(f"n must be >= 2, got {n}")
         if m < 1:
             raise ValidationError(f"m must be >= 1, got {m}")
-    # 2^bit_length > bound, so a longer exponent exceeds it for every p
-    if n + m > FORMULA_ORDER_BOUND.bit_length() or p ** (n + m) > FORMULA_ORDER_BOUND:
-        raise SizeBoundError(
-            f"|G| = {p}^{n + m} exceeds the supported bound {FORMULA_ORDER_BOUND}"
-        )
+    check_power_bound(p, n + m, "|G|")
 
 
 def validate(p: int, n: int, m: int, r: int, *, abelian: bool = False) -> GroupParams:
@@ -156,51 +152,13 @@ def check_oracle_bound(params: GroupParams) -> None:
 
 @lru_cache(maxsize=128)
 def _r_power_table(params: GroupParams) -> tuple[int, ...]:
-    """r^j mod p^n for j = 0..p^m-1: read by the group law, the conjugacy
-    walk, `complex_reps.orbit_members` and `deep.monomial_generators`."""
+    """r^j mod p^n for j = 0..p^m-1: read by the conjugacy walk,
+    `complex_reps.orbit_members` and `deep.monomial_generators`."""
     q = params.p ** params.n
     table = [1] * (params.p ** params.m)
     for j in range(1, len(table)):
         table[j] = (table[j - 1] * params.r) % q
     return tuple(table)
-
-
-def identity() -> GroupElement:
-    return GroupElement(0, 0)
-
-
-def multiply(g: GroupElement, h: GroupElement, params: GroupParams) -> GroupElement:
-    """(a^i b^j)(a^i' b^j') = a^(i + i' r^j) b^(j + j')."""
-    qa = params.p ** params.n
-    qb = params.p ** params.m
-    rj = _r_power_table(params)[g.j]
-    return GroupElement((g.i + h.i * rj) % qa, (g.j + h.j) % qb)
-
-
-def inverse(g: GroupElement, params: GroupParams) -> GroupElement:
-    qa = params.p ** params.n
-    qb = params.p ** params.m
-    jinv = (-g.j) % qb
-    rji = _r_power_table(params)[jinv]
-    return GroupElement((-g.i * rji) % qa, jinv)
-
-
-def power(g: GroupElement, e: int, params: GroupParams) -> GroupElement:
-    if e < 0:
-        return power(inverse(g, params), -e, params)
-    acc = identity()
-    base = g
-    while e:
-        if e & 1:
-            acc = multiply(acc, base, params)
-        base = multiply(base, base, params)
-        e >>= 1
-    return acc
-
-
-def conjugate(x: GroupElement, g: GroupElement, params: GroupParams) -> GroupElement:
-    """g x g^-1."""
-    return multiply(multiply(g, x, params), inverse(g, params), params)
 
 
 def conjugacy_classes(params: GroupParams) -> list[tuple[int, ...]]:

@@ -397,6 +397,20 @@ def test_star_import_binds_the_home_module_objects():
     assert set(metacyclic.__all__) <= set(dir(metacyclic))
     with pytest.raises(AttributeError):
         metacyclic.no_such_name
+    # the public API, name by name: a change to it is a change to this list
+    assert sorted(metacyclic.__all__) == sorted([
+        "p_adic_valuation", "split_r",
+        "CyclotomicElement", "root_power", "galois_apply", "minimal_level",
+        "GroupElement", "GroupParams", "validate", "from_s", "conjugacy_classes",
+        "IrreducibleCharacter", "orbit_decomposition", "enumerate_irreducibles",
+        "complex_counts_from_characters", "character_value",
+        "GaloisClass", "SimpleComponent", "WedderburnDecomposition",
+        "character_field_level", "galois_classes", "wedderburn_from_classes",
+        "rational_counts_from_classes",
+        "wedderburn_closed_form", "rational_counts_closed_form", "complex_counts_closed_form",
+        "cross_validate", "decomposition_via_oracle", "DeepChecker",
+        "MetacyclicError", "ValidationError", "SizeBoundError", "InternalInconsistencyError",
+    ])
 
 
 # The whole `verify --deep` stderr report for one all-pairs group and two

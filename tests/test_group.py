@@ -8,14 +8,44 @@ from metacyclic.group import (
     GroupParams,
     check_oracle_bound,
     conjugacy_classes,
-    conjugate,
     from_s,
-    identity,
-    inverse,
-    multiply,
-    power,
     validate,
 )
+
+
+# The group law on normal forms a^i b^j, an independent witness of the
+# conjugacy walk: r^j comes from pow, not from `group._r_power_table`.
+def identity():
+    return GroupElement(0, 0)
+
+
+def multiply(g, h, params):
+    """(a^i b^j)(a^i' b^j') = a^(i + i' r^j) b^(j + j')."""
+    qa, qb = params.p ** params.n, params.p ** params.m
+    return GroupElement((g.i + h.i * pow(params.r, g.j, qa)) % qa, (g.j + h.j) % qb)
+
+
+def inverse(g, params):
+    qa, qb = params.p ** params.n, params.p ** params.m
+    jinv = (-g.j) % qb
+    return GroupElement((-g.i * pow(params.r, jinv, qa)) % qa, jinv)
+
+
+def power(g, e, params):
+    if e < 0:
+        return power(inverse(g, params), -e, params)
+    acc, base = identity(), g
+    while e:
+        if e & 1:
+            acc = multiply(acc, base, params)
+        base = multiply(base, base, params)
+        e >>= 1
+    return acc
+
+
+def conjugate(x, g, params):
+    """g x g^-1."""
+    return multiply(multiply(g, x, params), inverse(g, params), params)
 
 
 def all_elements(params):
