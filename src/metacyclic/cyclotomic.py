@@ -1,15 +1,17 @@
 """Exact arithmetic in prime-power cyclotomic fields Q(zeta_{p^N}).
 
-Elements are stored in the power basis {zeta^0, ..., zeta^{phi(p^N)-1}}
-with exact rational coefficients, reduced modulo the single relation
+An element keeps only the nonzero coordinates of the power basis
+{zeta^0, ..., zeta^{phi(p^N)-1}}: a sorted tuple of (exponent, Fraction)
+terms, reduced modulo the single relation
 
     zeta^{(p-1)p^{N-1}} = -(zeta^0 + zeta^{p^{N-1}} + ... + zeta^{(p-2)p^{N-1}}),
 
-i.e. Phi_{p^N}(zeta) = 0. Level 0 means a plain rational. Arithmetic coerces
-levels implicitly via zeta_{p^a} = zeta_{p^b}^{p^(b-a)} and never rounds;
-the reduced coefficient vector is a canonical form, so equality (after
-common-level coercion) is coefficient-wise. Nothing here touches floating
-point.
+i.e. Phi_{p^N}(zeta) = 0. `_fold` is the one reduction, so work and memory
+follow the number of terms, not phi(p^N). Level 0 means a plain rational.
+Arithmetic coerces levels implicitly via zeta_{p^a} = zeta_{p^b}^{p^(b-a)}
+and never rounds; the reduced terms are a canonical form, so equality
+(after common-level coercion) is term-wise. Coefficients are ints or
+Fractions; nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -32,45 +34,57 @@ def _check_level(p: int, level: int) -> None:
     check_power_bound(p, level, "p^level")
 
 
+def _fold(p: int, level: int, pairs) -> tuple:
+    """Reduce raw (exponent, coefficient) pairs to canonical terms.
+
+    Exponents wrap mod p^level and coefficients with one exponent are
+    summed, zeros skipped; then each exponent e >= phi is rewritten as
+    -sum_{j<p-1} zeta^(e-phi+j p^(level-1)). Every target is below phi, so
+    one pass suffices. Raises ValidationError on a coefficient that is not
+    an int or a Fraction, so nothing inexact enters an element.
+    """
+    q = p ** level
+    acc: dict = {}
+    for e, c in pairs:
+        if not isinstance(c, (int, Fraction)):
+            raise ValidationError(f"coefficients must be int or Fraction, got {c!r}")
+        if c:
+            e %= q
+            acc[e] = acc.get(e, 0) + c
+    phi = phi_pk(p, level)
+    for e in [e for e in acc if e >= phi]:
+        c = acc.pop(e)
+        for f in range(e - phi, phi, q // p):
+            acc[f] = acc.get(f, 0) - c
+    return tuple(sorted(
+        (e, c if type(c) is Fraction else Fraction(c)) for e, c in acc.items() if c
+    ))
+
+
 def reduce_power_vector(p: int, level: int, vec) -> list:
     """Fold raw zeta_{p^level} exponent coefficients into the power basis.
 
     `vec` is indexed by exponent (any length; exponents wrap mod p^level)
-    with int or Fraction entries. Returns a list of length phi(p^level):
-    the canonical coordinates. A single descending pass eliminates the
-    exponents phi..p^level-1 because each rewrite only adds mass strictly
-    below phi. p and level are checked here, before p^level is allocated.
+    with int or Fraction entries. Returns the dense canonical coordinates,
+    a list of length phi(p^level). p and level are checked here, before
+    p^level is computed.
     """
     _check_level(p, level)
-    q = p ** level
-    phi = phi_pk(p, level)
-    acc = [0] * q
-    for e, c in enumerate(vec):
-        if c:
-            acc[e % q] += c
-    if level == 0:
-        return acc
-    step = p ** (level - 1)
-    for e in range(q - 1, phi - 1, -1):
-        c = acc[e]
-        if c:
-            acc[e] = 0
-            f = e - phi
-            for j in range(p - 1):
-                acc[f + j * step] -= c
-    del acc[phi:]
-    return acc
-
-
-# the coefficient of every absent basis monomial; Fractions are immutable
-_ZERO = Fraction(0)
+    out = [0] * phi_pk(p, level)
+    for e, c in _fold(p, level, enumerate(vec)):
+        out[e] = c
+    return out
 
 
 class CyclotomicElement:
-    """An element of Q(zeta_{p^level}) in reduced power-basis coordinates.
+    """An element of Q(zeta_{p^level}) as its reduced nonzero terms.
 
-    Instances are immutable and safe to share across threads. Equality
-    coerces both operands to a common level first, so e.g.
+    `CyclotomicElement(p, level, terms)` trusts `terms` to be canonical
+    (sorted, nonzero, exponents below phi); use `rational`,
+    `from_power_vector` or `root_power` to build from raw input. A level
+    whose terms are at most a constant collapses to 0. Instances are
+    immutable and safe to share across threads. Equality coerces both
+    operands to a common level first, so e.g.
     root_power(3, 2, 3) == root_power(3, 1, 1). Level-0 elements are
     rationals and compare/combine with elements of any prime. A number type,
     so a slotted class rather than a NamedTuple: it must not inherit tuple
@@ -79,16 +93,18 @@ class CyclotomicElement:
     and `copy` never assign one.
     """
 
-    __slots__ = ("p", "level", "coeffs")
+    __slots__ = ("p", "level", "terms")
 
     p: int
     level: int
-    coeffs: tuple[Fraction, ...]
+    terms: tuple[tuple[int, Fraction], ...]
 
-    def __init__(self, p: int, level: int, coeffs: tuple[Fraction, ...]):
+    def __init__(self, p: int, level: int, terms: tuple[tuple[int, Fraction], ...]):
+        if level and (not terms or terms[-1][0] == 0):
+            level = 0
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -97,42 +113,36 @@ class CyclotomicElement:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return CyclotomicElement, (self.p, self.level, self.coeffs)
+        return CyclotomicElement, (self.p, self.level, self.terms)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The dense power-basis coordinates: phi(p^level) Fractions."""
+        out = [Fraction(0)] * phi_pk(self.p, self.level)
+        for e, c in self.terms:
+            out[e] = c
+        return tuple(out)
 
     # -- construction --------------------------------------------------
-
-    @staticmethod
-    def _make(p: int, level: int, coeffs) -> "CyclotomicElement":
-        # trusted internal constructor: coeffs already has basis length
-        if level > 0 and not any(coeffs[1:]):
-            level, coeffs = 0, coeffs[:1]
-        return CyclotomicElement(p, level, tuple(
-            c if type(c) is Fraction else Fraction(c) if c else _ZERO for c in coeffs
-        ))
 
     @classmethod
     def rational(cls, p: int, value) -> "CyclotomicElement":
         check_odd_prime(p)
-        return cls._make(p, 0, [Fraction(value)])
+        return cls(p, 0, _fold(p, 0, [(0, value)]))
 
     @classmethod
     def from_power_vector(cls, p: int, level: int, vec) -> "CyclotomicElement":
         """Reduce raw exponent coefficients (any length) into an element."""
-        return cls._make(p, level, reduce_power_vector(p, level, vec))
+        _check_level(p, level)
+        return cls(p, level, _fold(p, level, enumerate(vec)))
 
     # -- coercion -------------------------------------------------------
 
-    def _lift(self, level: int) -> list:
-        """Coefficients re-expressed at `level` >= self.level (no reduction
+    def _lift(self, level: int) -> tuple:
+        """Terms re-expressed at `level` >= self.level (no reduction
         needed: basis exponents map to basis exponents)."""
-        if level == self.level:
-            return list(self.coeffs)
         scale = self.p ** (level - self.level)
-        out = [_ZERO] * phi_pk(self.p, level)
-        for e, c in enumerate(self.coeffs):
-            if c:
-                out[e * scale] = c
-        return out
+        return tuple((e * scale, c) for e, c in self.terms)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -141,13 +151,13 @@ class CyclotomicElement:
         if other is NotImplemented:
             return NotImplemented
         p, level, a, b = _common(self, other)
-        return CyclotomicElement._make(p, level, [x + y for x, y in zip(a, b)])
+        return CyclotomicElement(p, level, _fold(p, level, a + b))
 
     __radd__ = __add__
 
     def __neg__(self):
         return CyclotomicElement(self.p, self.level,
-                                 tuple(-c for c in self.coeffs))
+                                 tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other):
         other = _coerce(other, self.p)
@@ -163,31 +173,27 @@ class CyclotomicElement:
 
     def __mul__(self, other):
         # a scalar: no product to reduce, and a nonzero one keeps the
-        # support, so the scaled coordinates are already canonical
+        # support, so the scaled terms are already canonical
         if isinstance(other, (int, Fraction)):
             if not other:
-                return CyclotomicElement._make(self.p, 0, [0])
+                return CyclotomicElement(self.p, 0, ())
             return CyclotomicElement(
-                self.p, self.level, tuple(c * other if c else c for c in self.coeffs)
+                self.p, self.level, tuple((e, c * other) for e, c in self.terms)
             )
         other = _coerce(other, self.p)
         if other is NotImplemented:
             return NotImplemented
         p, level, a, b = _common(self, other)
-        out = [0] * (2 * len(a) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return CyclotomicElement._make(p, level, reduce_power_vector(p, level, out))
+        return CyclotomicElement(
+            p, level, _fold(p, level, [(i + j, x * y) for i, x in a for j, y in b])
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValidationError("only non-negative integer powers")
-        result = CyclotomicElement._make(self.p, 0, [1])
+        result = CyclotomicElement(self.p, 0, ((0, Fraction(1)),))
         base = self
         e = exponent
         while e:
@@ -202,11 +208,10 @@ class CyclotomicElement:
     def normalized(self) -> "CyclotomicElement":
         """Re-express at the minimal level (exact subfield descent)."""
         target = minimal_level(self)
-        if target == self.level:
-            return self
         scale = self.p ** (self.level - target)
-        coeffs = [self.coeffs[i * scale] for i in range(phi_pk(self.p, target))]
-        return CyclotomicElement._make(self.p, target, coeffs)
+        return CyclotomicElement(
+            self.p, target, tuple((e // scale, c) for e, c in self.terms)
+        )
 
     # -- comparison -----------------------------------------------------
 
@@ -223,16 +228,14 @@ class CyclotomicElement:
     def __hash__(self):
         # a rational hashes as its coefficient, since it equals that int or Fraction
         n = self.normalized()
-        return hash((n.level, n.coeffs, n.p) if n.level else n.coeffs[0])
+        return hash((n.level, n.terms, n.p) if n.level else n.coeffs[0])
 
     def __repr__(self):
         if self.level == 0:
             return f"Cyclo({self.coeffs[0]})"
         sym = f"z{self.p ** self.level}"
         terms = []
-        for e, c in enumerate(self.coeffs):
-            if not c:
-                continue
+        for e, c in self.terms:
             if e == 0:
                 terms.append(str(c))
             else:
@@ -250,7 +253,7 @@ def _coerce(value, p: int):
     if isinstance(value, CyclotomicElement):
         return value
     if isinstance(value, (int, Fraction)):
-        return CyclotomicElement._make(p, 0, [Fraction(value)])
+        return CyclotomicElement(p, 0, _fold(p, 0, [(0, value)]))
     return NotImplemented
 
 
@@ -267,16 +270,7 @@ def _common(x: CyclotomicElement, y: CyclotomicElement):
 def root_power(p: int, level: int, e: int) -> CyclotomicElement:
     """zeta_{p^level}^e, canonically reduced; e is taken mod p^level."""
     _check_level(p, level)
-    q = p ** level
-    e %= q
-    phi = phi_pk(p, level)
-    if e < phi:
-        coeffs = [0] * phi
-        coeffs[e] = 1
-        return CyclotomicElement._make(p, level, coeffs)
-    vec = [0] * (e + 1)
-    vec[e] = 1
-    return CyclotomicElement.from_power_vector(p, level, vec)
+    return CyclotomicElement(p, level, _fold(p, level, [(e, 1)]))
 
 
 def galois_apply(x: CyclotomicElement, alpha: int) -> CyclotomicElement:
@@ -287,15 +281,9 @@ def galois_apply(x: CyclotomicElement, alpha: int) -> CyclotomicElement:
     """
     if gcd(alpha, x.p) != 1:
         raise ValidationError(f"alpha={alpha} is divisible by p={x.p}")
-    if x.level == 0:
-        return x
-    q = x.p ** x.level
-    a = alpha % q
-    vec = [0] * q
-    for e, c in enumerate(x.coeffs):
-        if c:
-            vec[(e * a) % q] += c
-    return CyclotomicElement.from_power_vector(x.p, x.level, vec)
+    return CyclotomicElement(
+        x.p, x.level, _fold(x.p, x.level, [(e * alpha, c) for e, c in x.terms])
+    )
 
 
 def minimal_level(x: CyclotomicElement) -> int:
@@ -306,6 +294,5 @@ def minimal_level(x: CyclotomicElement) -> int:
     is read off the p-adic valuations of the support.
     """
     return x.level - min(
-        (_valuation(e, x.p) for e, c in enumerate(x.coeffs) if e and c),
-        default=x.level,
+        (_valuation(e, x.p) for e, _ in x.terms if e), default=x.level
     )

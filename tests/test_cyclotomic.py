@@ -166,8 +166,36 @@ def test_orbit_sums_vanish_small():
 
 
 def test_multiplication_against_polynomial_remainder():
-    sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
+    # two witnesses that share no code with the product's reduction: a
+    # stdlib schoolbook product and long division by the monic
+    # Phi_{p^L}(x) = sum_{j<p} x^(j p^(L-1)), always; and sympy's
+    # polynomial remainder, when sympy is installed
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
+
+    def trim(coeffs):
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return coeffs
+
+    def remainder(a, b, p, level):
+        rem = [0] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                rem[i + j] += u * v
+        step = p ** (level - 1)
+        top = (p - 1) * step  # deg Phi_{p^L} = phi(p^L)
+        for k in range(len(rem) - 1, top - 1, -1):
+            c = rem[k]
+            for j in range(p):
+                rem[k - top + j * step] -= c
+        return trim(rem[:top])
+
+    if sympy is not None:
+        x = sympy.Symbol("x")
 
     def cyclo_poly(p, level):
         step = p ** (level - 1)
@@ -181,7 +209,7 @@ def test_multiplication_against_polynomial_remainder():
     for p in (3, 5):
         for level in (1, 2, 3):
             phi = p ** level - p ** (level - 1)
-            modulus = cyclo_poly(p, level)
+            modulus = None if sympy is None else cyclo_poly(p, level)
             for _ in range(15):
                 a = [rng.randint(-4, 4) for _ in range(phi)]
                 b = [rng.randint(-4, 4) for _ in range(phi)]
@@ -189,10 +217,13 @@ def test_multiplication_against_polynomial_remainder():
                     CyclotomicElement.from_power_vector(p, level, a)
                     * CyclotomicElement.from_power_vector(p, level, b)
                 )
+                assert trim(prod.coeffs) == remainder(a, b, p, level), (p, level, a, b)
+                if sympy is None:
+                    continue
                 pa = sympy.Poly(list(reversed(a)), x, domain="QQ")
                 pb = sympy.Poly(list(reversed(b)), x, domain="QQ")
                 want = (pa * pb).rem(modulus)
-                got = sympy.Poly(list(reversed(prod._lift(level))), x, domain="QQ")
+                got = sympy.Poly(list(reversed(prod.coeffs)), x, domain="QQ")
                 assert got == want, (p, level, a, b)
 
 
@@ -216,7 +247,7 @@ def test_immutable_and_round_trips_through_pickle_and_deepcopy():
     import pickle
 
     x = root_power(5, 2, 7) + Fraction(1, 3)
-    for name in ("p", "level", "coeffs", "other"):
+    for name in ("p", "level", "coeffs", "terms", "other"):
         with pytest.raises(AttributeError):
             setattr(x, name, 0)
         with pytest.raises(AttributeError):
@@ -225,8 +256,45 @@ def test_immutable_and_round_trips_through_pickle_and_deepcopy():
     for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
         assert type(y) is CyclotomicElement
         assert (y.p, y.level, y.coeffs) == (x.p, x.level, x.coeffs)
+        assert y.terms == x.terms
         assert y == x and hash(y) == hash(x)
         assert all(type(c) is Fraction for c in y.coeffs)
+
+
+def test_coefficients_must_be_exact():
+    # a float or a str would enter as its binary value or a parse, and the
+    # element would not equal what was passed, so both are rejected
+    for bad in (0.1, "1"):
+        for call in (
+            lambda: CyclotomicElement.rational(3, bad),
+            lambda: CyclotomicElement.from_power_vector(3, 1, [1, bad]),
+            lambda: reduce_power_vector(3, 1, [bad, 2]),
+        ):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == f"coefficients must be int or Fraction, got {bad!r}"
+    assert CyclotomicElement.rational(3, Fraction(1, 10)) == Fraction(1, 10)
+
+
+def test_work_is_bounded_by_the_terms_at_the_largest_level():
+    # 3^14 is the largest admissible p^level; phi(3^14) = 3,188,646, so a
+    # dense coordinate list there alone takes tens of MB
+    import tracemalloc
+
+    p, level = 3, 14
+    phi = p ** level - p ** (level - 1)
+    tracemalloc.start()
+    try:
+        for e in (5, phi + 7):
+            x = root_power(p, level, e)
+            prod = x * root_power(p, 7, 4)
+            assert prod == root_power(p, level, e + 4 * p ** 7)
+            assert galois_apply(x, 2) == root_power(p, level, 2 * e)
+            assert minimal_level(prod) == level
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6, peak
 
 
 def test_reduce_power_vector_checks_level_before_allocating():
