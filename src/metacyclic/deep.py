@@ -66,7 +66,7 @@ from .group import (
     check_oracle_bound,
     conjugacy_classes,
 )
-from .rational import _codes, rational_counts_from_classes
+from .rational import _images, rational_counts_from_classes
 from .verify import CrossCheck
 
 
@@ -303,7 +303,7 @@ class DeepChecker:
     def check_galois_action(self) -> CheckResult:
         """Parameter-level Galois action == value-level action, on every
         character, under the generator sigma_g that `rational.galois_classes`
-        walks; g must have order phi(p^C) mod p^C. Each image from `_codes`
+        walks; g must have order phi(p^C) mod p^C. Each image from `_images`
         must be listed and keep t and the degree (sigma_g fixes psi(1)), and
         g psi - psi' = a X_t + b Y on S_t, with a = g l - l', b = g u - u',
         must be 0 mod p^C at every class; each (t, a, b) is checked once. As
@@ -313,12 +313,13 @@ class DeepChecker:
         g, phi = unit_group_generator(params.p, params.ambient_level), qc - qc // params.p
         if len({pow(g, k, qc) for k in range(1, phi + 1)}) != phi:  # g^1..g^phi distinct
             return CheckResult("galois_action", False, f"alpha {g} not of order {phi}")
-        codes, images = _codes(chars, g, params)
-        listed, verdicts = dict(zip(codes, chars)), {}
-        for k, (ch, im) in enumerate(zip(chars, map(listed.get, images))):
-            if im is None or (im.t, im.degree) != (ch.t, ch.degree):
+        listed, verdicts = set(chars), {}
+        for k, (ch, image) in enumerate(zip(chars, _images(chars, g, params))):
+            t, l, u, degree = image
+            if image not in listed or (t, degree) != (ch.t, ch.degree):
                 return CheckResult("galois_action", False, f"char {k} alpha {g}")
-            t, a, b = key = (ch.t, (g * ch.l - im.l) % qc, (g * ch.u - im.u) % qc)
+            a, b = (g * ch.l - l) % qc, (g * ch.u - u) % qc
+            key = (t, a, b)
             if key not in verdicts:
                 verdicts[key] = not any(e is not None and f is not None and (a * e + b * f) % qc
                                         for e, f in zip(rows[t], rows[-1]))

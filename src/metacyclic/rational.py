@@ -13,9 +13,9 @@ t = 0 this is the action on the character grid of
 G/G' = C_{p^(n-s)} x C_{p^m}. The acting group
 (Z/p^C)^* is cyclic for odd p, so one generator sigma_g reaches every
 conjugate: each class is walked as one cycle of sigma_g, one image per
-character. The action is applied to the whole list in one pass (`_codes`),
-which gives every character and its image as integer codes; the walk then
-runs on positions in the sorted list. deep.py certifies the same pass
+character. The action is applied to the whole list in one pass (`_images`),
+which gives every character's image as a (t, l, u, degree) tuple; the walk
+then runs on positions in the sorted list. deep.py certifies the same pass
 against the value-level action, on every character, under sigma_g.
 """
 
@@ -71,49 +71,37 @@ def character_field_level(ch: IrreducibleCharacter, params: GroupParams) -> int:
     )
 
 
-def _codes(
+def _images(
     chars: list[IrreducibleCharacter], alpha: int, params: GroupParams
-) -> tuple[list[int], list[int]]:
-    """The code of every character and of its image under sigma_alpha, in
-    one pass over `chars` (gcd(alpha, p) = 1).
+) -> list[tuple[int, int, int, int]]:
+    """The image of every character under sigma_alpha, as a (t, l, u,
+    degree) tuple, in one pass over `chars` (gcd(alpha, p) = 1).
 
     sigma_alpha keeps t and the degree, sends l to
-    canonical_orbit_label(alpha l) and u to alpha u mod p^(m-t). The code of
-    (t, l, u, degree) is ((degree (m+1) + t) p^(n-s) + l) p^m + u, one
-    integer, injective on tuples with 0 <= t <= m, 0 <= l < p^(n-s) and
-    0 <= u < p^m: the ranges every image lies in. Label and modulus are computed once per run
-    of equal (t, l, degree), which is one orbit's worth of u in tuple order.
+    canonical_orbit_label(alpha l) and u to alpha u mod p^(m-t). Label and
+    modulus are computed once per run of equal (t, l), which is one orbit's
+    worth of u in tuple order.
     """
-    p, m = params.p, params.m
+    p = params.p
     if gcd(alpha, p) != 1:
         raise ValidationError(f"alpha={alpha} is divisible by p={p}")
-    qd, qb = p ** (params.n - params.s), p ** m
-    codes: list[int] = []
-    images: list[int] = []
-    run = None
+    images: list[tuple[int, int, int, int]] = []
+    run_t = run_l = None
     for t, l, u, degree in chars:
-        if run != (t, l, degree):
-            run = (t, l, degree)
-            top = (degree * (m + 1) + t) * qd
-            head = (top + l) * qb
-            image_head = (top + canonical_orbit_label(params, alpha * l)) * qb
-            modulus = p ** (m - t)
-        codes.append(head + u)
-        images.append(image_head + alpha * u % modulus)
-    return codes, images
+        if t != run_t or l != run_l:
+            run_t, run_l = t, l
+            label, modulus = canonical_orbit_label(params, alpha * l), p ** (params.m - t)
+        images.append((t, label, alpha * u % modulus, degree))
+    return images
 
 
 def sigma_on_character(
     ch: IrreducibleCharacter, alpha: int, params: GroupParams
 ) -> IrreducibleCharacter:
-    """The parameter-tuple form of psi^sigma_alpha (gcd(alpha, p) = 1),
-    decoded from the image code that `_codes` gives ch. Nothing in the
-    package calls it; the tests and the benchmark's tracer still name it."""
-    (code,) = _codes([ch], alpha, params)[1]
-    rest, u = divmod(code, params.p ** params.m)
-    rest, l = divmod(rest, params.p ** (params.n - params.s))
-    degree, t = divmod(rest, params.m + 1)
-    return IrreducibleCharacter(t, l, u, degree)
+    """The parameter-tuple form of psi^sigma_alpha (gcd(alpha, p) = 1), the
+    image that `_images` gives ch. Nothing in the package calls it; the
+    tests and the benchmark's tracer still name it."""
+    return IrreducibleCharacter(*_images([ch], alpha, params)[0])
 
 
 def galois_classes(
@@ -128,18 +116,19 @@ def galois_classes(
     a walk may take at most phi(p^C) steps, and every class size is checked
     against phi(p^L) of its field level, which is what the class size must be.
 
-    The walk runs on positions in the sorted list: `_codes` gives every
-    character's code and its image's code in one pass, one dict turns codes
-    into positions, and a bytearray marks the positions already classed.
+    The walk runs on positions in the sorted list: `_images` gives every
+    character's image in one pass, one dict keyed on the characters turns
+    images into positions, and a bytearray marks the positions already
+    classed.
     """
     if sum(ch.degree ** 2 for ch in chars) != params.order:
         raise ValidationError("character list is incomplete: sum(deg^2) != |G|")
     listed = sorted(chars)
-    level_c = params.ambient_level
-    codes, images = _codes(listed, unit_group_generator(params.p, level_c), params)
-    position = dict(zip(codes, range(len(listed))))
+    position = dict(zip(listed, range(len(listed))))
     if len(position) != len(listed):
         raise ValidationError("character list contains duplicates")
+    level_c = params.ambient_level
+    images = _images(listed, unit_group_generator(params.p, level_c), params)
     successor = list(map(position.get, images))
     if None in successor:
         raise InternalInconsistencyError(

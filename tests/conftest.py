@@ -27,14 +27,18 @@ def corrupted_closed_form(monkeypatch):
 
 @pytest.fixture
 def escaping_galois_image(monkeypatch):
-    """`deep._codes` giving every degree-p character the image code -1,
-    which no character has: codes are nonnegative."""
+    """`deep._images` giving every degree-p character its true image with
+    p^C added to l. No character has that tuple (labels are below p^(n-s)),
+    yet it keeps t and the degree and agrees with the true image mod p^C,
+    so only the check that each image is listed can reject it."""
     from metacyclic import deep
 
-    real = deep._codes
+    real = deep._images
 
     def poisoned(chars, alpha, params):
-        codes, images = real(chars, alpha, params)
-        return codes, [-1 if ch.t == 1 else im for ch, im in zip(chars, images)]
+        qc = params.p ** params.ambient_level
+        images = real(chars, alpha, params)
+        return [(t, l + qc, u, degree) if t == 1 else (t, l, u, degree)
+                for t, l, u, degree in images]
 
-    monkeypatch.setattr(deep, "_codes", poisoned)
+    monkeypatch.setattr(deep, "_images", poisoned)

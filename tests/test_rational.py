@@ -233,23 +233,23 @@ def test_generator_walk_equals_all_units_classes(monkeypatch):
     for params in GRID:
         chars = enumerate_irreducibles(params)
         assert galois_classes(chars, params) == all_units_galois_classes(chars, params), params
+        # a plain tuple would compare equal in the classes above
+        assert type(sigma_on_character(chars[-1], 2, params)) is IrreducibleCharacter
 
 
 @pytest.mark.parametrize("escape", [False, True])
 def test_broken_action_is_rejected_quickly(monkeypatch, escape):
     params = validate(3, 4, 2, 10)
     chars = enumerate_irreducibles(params)
-    real_codes = rational._codes
     calls = []
 
     def broken(chars, alpha, params):
         # every image leaves the list, or sticks at chars[1] and never
         # returns to chars[0]
         calls.append(alpha)
-        codes, _ = real_codes(chars, alpha, params)
-        return codes, [-1 if escape else codes[1]] * len(codes)
+        return [(0, -1, -1, 1) if escape else chars[1]] * len(chars)
 
-    monkeypatch.setattr(rational, "_codes", broken)
+    monkeypatch.setattr(rational, "_images", broken)
     start = time.perf_counter()
     with pytest.raises(InternalInconsistencyError) as exc:
         galois_classes(chars, params)
@@ -267,6 +267,18 @@ def test_galois_classes_reject_duplicates():
         copied = chars[:second] + [chars[first]] + chars[second + 1:]
         with pytest.raises(ValidationError, match="contains duplicates"):
             galois_classes(copied, G1)
+
+
+@pytest.mark.parametrize("replaced", [(0, 2, 0, 1), (0, 1, 0, 1)])
+def test_out_of_range_entry_is_diagnosed_as_an_escape(replaced):
+    # u = 9 = p^m lies outside every enumerated range, so (0, 0, 9, 1) is
+    # no duplicate of (0, 1, 0, 1); the preimage under sigma_2 of the
+    # replaced entry, (0, 1, 0, 1) or (0, 5, 0, 1), then has no listed image
+    chars = enumerate_irreducibles(G1)
+    k = chars.index(replaced)
+    changed = chars[:k] + [IrreducibleCharacter(0, 0, 9, 1)] + chars[k + 1:]
+    with pytest.raises(InternalInconsistencyError, match="escapes"):
+        galois_classes(changed, G1)
 
 
 def test_image_keeps_the_degree():

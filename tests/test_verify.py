@@ -287,17 +287,17 @@ def test_galois_image_of_another_degree_fails_the_check(monkeypatch):
     # so g psi - psi' vanishes on the source's support, and only the
     # degree, which sigma_g keeps, tells each image from the true one
     cross = cross_validate(validate(3, 2, 1, 4))
-    real = deep._codes
+    real = deep._images
     for source, image in ((3, 10), (9, 6)):
         src, img = cross.chars[source], cross.chars[image]
         assert src.degree != img.degree and (2 * src.l - img.l, 2 * src.u - img.u) == (0, 0)
 
         def poisoned(chars, alpha, params, source=source, image=image):
-            codes, images = real(chars, alpha, params)
-            images[source] = codes[image]
-            return codes, images
+            images = real(chars, alpha, params)
+            images[source] = chars[image]
+            return images
 
-        monkeypatch.setattr(deep, "_codes", poisoned)
+        monkeypatch.setattr(deep, "_images", poisoned)
         result = DeepChecker(cross).check_galois_action()
         assert result == ("galois_action", False, f"char {source} alpha 2")
 
