@@ -16,22 +16,24 @@ Value tables are therefore integer exponent tables, indexed by i p^m + j.
 The exponent is l X_t + u Y mod p^C on the support S_t = {d | i, d | j},
 where X_t = p^(s-t) p^(C-n) i mod p^C on S_t (None off it) and
 Y = p^(C-m) j mod p^C are the tables of the basis forms (t, 1, 0) for
-t = 0..s and (0, 0, 1), listed by `basis_characters`. The
-orthogonality/trace sums, minus their expected values, must vanish. As
-Phi_{p^C}(x) = Phi_p(x^(p^(C-1))), the p-gons {e + k p^(C-1)} span the
-integer relations among the p^C-th roots of unity (Lam-Leung, 2000), so
-sum_e c_e zeta^e = 0 exactly when c is unchanged by e -> e + p^(C-1).
+t = 0..s and (0, 0, 1), listed by `basis_characters`. The trace sums,
+minus their expected values, must vanish. As Phi_{p^C}(x) =
+Phi_p(x^(p^(C-1))), the p-gons {e + k p^(C-1)} span the integer relations
+among the p^C-th roots of unity (Lam-Leung, 2000), so sum_e c_e zeta^e = 0
+exactly when c is unchanged by e -> e + p^(C-1).
 
 `DeepChecker` builds only the s + 2 basis tables in full. A basis row is
 a table's exponents on the h = #Irr class representatives, in class order,
-placed by `class_index` = (class_of, firsts, sizes) from the brute-force
+placed by `class_index` = (class_of, firsts) from the brute-force
 classes, and `check_class_functions` certifies, cell by cell, that each
 basis table equals its row spread over class_of. By the identity above,
 psi's table is then l X_t + u Y over the basis rows spread over class_of,
 None where X_t is None: a class function. No per-character row exists;
 every later check reads the basis rows at the classes it needs:
-- orthogonality weights each class by its size, which is the full sum
-  over G, in one pass over the three or four basis rows a pair reads;
+- orthogonality checks each basis row against (d, A, B) at every class,
+  then needs no sum: a pair's sum over G factors into two full geometric
+  sums, nonzero only when the pair's (A D, B D) mod p^C agree, so one
+  dict of those keys per degree covers every pair;
 - the Galois action compares sigma_g psi with its image at every class;
 - traces are compared on the representatives, which covers every element
   because the matrices satisfy the presentation relations (so their trace
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
+from itertools import product
 from typing import NamedTuple
 
 from . import cyclotomic
@@ -85,15 +88,21 @@ def monomial_form(ch: IrreducibleCharacter, params: GroupParams) -> tuple[int, i
     return p ** ch.t, a_base * (qc // p ** n) % qc, ch.u * (qc // p ** m) % qc
 
 
-def value_table(ch: IrreducibleCharacter, params: GroupParams) -> list[int | None]:
-    """Exponent table over all group elements, indexed by i * p^m + j:
+def _exponents(ch: IrreducibleCharacter, params: GroupParams, elements) -> list[int | None]:
+    """psi's exponents at the a^i b^j for (i, j) in `elements`:
     A i + B j mod p^C where d divides i and j, None elsewhere."""
     d, a_exp, b_exp = monomial_form(ch, params)
     qc = params.p ** params.ambient_level
     return [
         (a_exp * i + b_exp * j) % qc if i % d == 0 and j % d == 0 else None
-        for i in range(params.p ** params.n) for j in range(params.p ** params.m)
+        for i, j in elements
     ]
+
+
+def value_table(ch: IrreducibleCharacter, params: GroupParams) -> list[int | None]:
+    """Exponent table over all group elements, indexed by i * p^m + j."""
+    qa, qb = params.p ** params.n, params.p ** params.m
+    return _exponents(ch, params, product(range(qa), range(qb)))
 
 
 def basis_characters(params: GroupParams) -> list[IrreducibleCharacter]:
@@ -158,10 +167,8 @@ def monomial_generators(
 # deep checks
 # ---------------------------------------------------------------------------
 
-# Sampling sizes of the deep checks: orthogonality runs exhaustively up to
-# EXHAUSTIVE_ORDER_BOUND and on random draws above it.
-EXHAUSTIVE_ORDER_BOUND = 243
-ORTHOGONALITY_PAIRS = 100
+# Random elements that `check_value_function_agreement` reads; it and
+# `check_matrix_relations` are the only checks that draw from the rng.
 VALUE_SAMPLES = 50
 
 
@@ -187,18 +194,17 @@ class DeepChecker:
         self.rng = random.Random(0) if rng is None else rng
 
     @cached_property
-    def class_index(self) -> tuple[list[int], list[int], list[int]]:
-        """(class_of, firsts, sizes), built in one pass over the flat-index
-        classes of `group.conjugacy_classes`: class_of[g] is the position of
-        the class of the element with flat index g = i * p^m + j, and firsts
-        and sizes hold each class's least element and size, in class order."""
-        class_of, firsts, sizes = [0] * self.params.order, [], []
+    def class_index(self) -> tuple[list[int], list[int]]:
+        """(class_of, firsts), built in one pass over the flat-index classes
+        of `group.conjugacy_classes`: class_of[g] is the position of the
+        class of the element with flat index g = i * p^m + j, and firsts
+        holds each class's least element, in class order."""
+        class_of, firsts = [0] * self.params.order, []
         for c, cls in enumerate(conjugacy_classes(self.params)):
             firsts.append(cls[0])
-            sizes.append(len(cls))
             for g in cls:
                 class_of[g] = c
-        return class_of, firsts, sizes
+        return class_of, firsts
 
     @cached_property
     def basis_tables(self) -> list[list[int | None]]:
@@ -236,7 +242,7 @@ class DeepChecker:
         read the basis rows only. On failure, the detail names the first
         element of the first class that the first failing basis table is
         not constant on."""
-        class_of, firsts, _ = self.class_index
+        class_of, firsts = self.class_index
         for table, row in zip(self.basis_tables, self.basis_rows):
             if [row[c] for c in class_of] != table:
                 bad = min(c for c, e in zip(class_of, table) if e != row[c])
@@ -252,53 +258,44 @@ class DeepChecker:
         step = self.qc // self.params.p  # C >= 1 for every group
         return all(sums.get((e + step) % self.qc, 0) == c for e, c in sums.items())
 
-    def _pair_orthogonal(self, x: int, y: int, verdicts: dict) -> bool:
-        """sum_g psi_x(g) conj(psi_y(g)) == |G| [x = y], as the sum over G
-        of the class functions: sum_K |K| psi_x(g_K) conj(psi_y(g_K)) over
-        one representative g_K per class K, in one pass over the basis rows,
-        where the exponent at K is l_x X_tx - l_y X_ty + (u_x - u_y) Y.
-        The sum reads the pair through `key` only, so pairs of one key share
-        the verdict stored in `verdicts`."""
-        cx, cy = self.chars[x], self.chars[y]
-        key = (cx.t, cx.l, cy.t, cy.l, cx.u - cy.u, cx.degree * cy.degree, x == y)
-        if key not in verdicts:
-            tx, lx, ty, ly, du, coeff, diagonal = key
-            qc, sizes, rows = self.qc, self.class_index[2], self.basis_rows
-            acc = [0] * qc
-            if tx == ty:
-                for size, e, f in zip(sizes, rows[tx], rows[-1]):
-                    if e is not None and f is not None:
-                        acc[((lx - ly) * e + du * f) % qc] += size
-            else:
-                for size, e1, e2, f in zip(sizes, rows[tx], rows[ty], rows[-1]):
-                    if e1 is not None and e2 is not None and f is not None:
-                        acc[(lx * e1 - ly * e2 + du * f) % qc] += size
-            sums = {e: coeff * a for e, a in enumerate(acc) if a}
-            sums[0] = sums.get(0, 0) - diagonal * self.params.order  # minus |G| [x = y]
-            verdicts[key] = self._vanishes(sums)
-        return verdicts[key]
-
     def check_orthogonality(self) -> CheckResult:
-        """First orthogonality, exactly: sum_g psi(g) conj(psi'(g)) is |G|
-        on the diagonal and 0 off it. All pairs for |G| <=
-        EXHAUSTIVE_ORDER_BOUND, else ORTHOGONALITY_PAIRS random pairs plus
-        random diagonal entries; each distinct sum is computed once."""
-        count, verdicts = len(self.chars), {}
-        if self.params.order <= EXHAUSTIVE_ORDER_BOUND:
-            for x in range(count):
-                for y in range(x, count):
-                    if not self._pair_orthogonal(x, y, verdicts):
+        """First orthogonality on every pair, at every order, summing and
+        drawing nothing. Row pass: each basis row must be its form's
+        `_exponents` at the class representatives, None cells included; with
+        `check_class_functions`, every table is then the formula everywhere.
+
+        Bucket test: psi_x and psi_y are both nonzero only on S_D, with
+        D = max(d_x, d_y), where their pair sum over G factors as
+
+            d_x d_y * sum_{D|i} zeta^((A_x - A_y) i) * sum_{D|j} zeta^((B_x - B_y) j)
+
+        (i mod p^n, j mod p^m). As A carries p^(C-n) and B carries p^(C-m),
+        (A_x - A_y) p^n = (B_x - B_y) p^m = 0 mod p^C: each factor runs over
+        whole periods of its ratio, so it is p^n / D (p^m / D) if the ratio
+        zeta^((A_x - A_y) D) (zeta^((B_x - B_y) D)) is 1, and 0 otherwise.
+        The sum is |G| at x = y, and off it 0 unless the keys (A D, B D)
+        mod p^C agree. So, for T = 0..s, with the characters of t <= T in
+        buckets keyed by (A p^T, B p^T) mod p^C, all pairs are orthogonal
+        exactly when each character of t = T is alone in its bucket. A FAIL
+        names the first basis row and class off the formula, else the first
+        colliding pair met (T upwards, in character order)."""
+        params, qc, chars = self.params, self.qc, self.chars
+        reps = [GroupElement(*divmod(g, params.p ** params.m)) for g in self.class_index[1]]
+        for b, (form, row) in enumerate(zip(basis_characters(params), self.basis_rows)):
+            expected = _exponents(form, params, reps)
+            if row != expected:
+                c = next(c for c, (e, f) in enumerate(zip(row, expected)) if e != f)
+                return CheckResult("orthogonality", False, f"row {b} in class of {reps[c]}")
+        forms = [monomial_form(ch, params) for ch in chars]
+        for t in range(params.s + 1):
+            d, buckets = params.p ** t, {}
+            for y, (ch, (_, a_exp, b_exp)) in enumerate(zip(chars, forms)):
+                if ch.t <= t:
+                    x = buckets.setdefault((a_exp * d % qc, b_exp * d % qc), y)
+                    if x != y and t in (ch.t, chars[x].t):
                         return CheckResult("orthogonality", False, f"pair ({x}, {y})")
-            return CheckResult("orthogonality", True, f"all pairs ({count * (count + 1) // 2})")
-        for _ in range(ORTHOGONALITY_PAIRS):
-            x, y = self.rng.randrange(count), self.rng.randrange(count)
-            if not self._pair_orthogonal(x, y, verdicts):
-                return CheckResult("orthogonality", False, f"pair ({x}, {y})")
-        for _ in range(5):
-            x = self.rng.randrange(count)
-            if not self._pair_orthogonal(x, x, verdicts):
-                return CheckResult("orthogonality", False, f"diagonal {x}")
-        return CheckResult("orthogonality", True, f"sampled pairs ({ORTHOGONALITY_PAIRS + 5})")
+        pairs = len(chars) * (len(chars) + 1) // 2
+        return CheckResult("orthogonality", True, f"all pairs ({pairs})")
 
     def check_galois_action(self) -> CheckResult:
         """Parameter-level Galois action == value-level action, on every
@@ -338,6 +335,8 @@ class DeepChecker:
         for t in range(1, params.s + 1):
             degree = p ** t
             pool = [k for k, ch in enumerate(self.chars) if ch.degree == degree]
+            if not pool:
+                return CheckResult("matrix_relations", False, f"no character of degree {degree}")
             k = self.rng.choice(pool)
             a_mat, b_mat = monomial_generators(self.chars[k], params)
             ident = MonomialMatrix.identity(self.qc, degree)
@@ -386,10 +385,10 @@ class DeepChecker:
         """Monomial exponents agree with the CyclotomicElement value
         function on VALUE_SAMPLES random elements (ties fast path to slow
         path); each element reads the basis cells of its class."""
-        params = self.params
-        level = params.ambient_level
-        qa, qb = params.p ** params.n, params.p ** params.m
-        class_of = self.class_index[0]
+        if not self.chars:
+            return CheckResult("value_agreement", False, "no characters")
+        params, class_of = self.params, self.class_index[0]
+        level, qa, qb = params.ambient_level, params.p ** params.n, params.p ** params.m
         for _ in range(VALUE_SAMPLES):
             k = self.rng.randrange(len(self.chars))
             i, j = self.rng.randrange(qa), self.rng.randrange(qb)
@@ -399,9 +398,7 @@ class DeepChecker:
             fast = 0 if x is None or y is None else ch.degree * cyclotomic.root_power(
                 params.p, level, ch.l * x + ch.u * y)
             if slow != fast:
-                return CheckResult(
-                    "value_agreement", False, f"char {k} at ({i}, {j})"
-                )
+                return CheckResult("value_agreement", False, f"char {k} at ({i}, {j})")
         return CheckResult("value_agreement", True, f"samples={VALUE_SAMPLES}")
 
     def check_rational_counts(self) -> CheckResult:

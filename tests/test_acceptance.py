@@ -138,18 +138,14 @@ def test_criterion_4_complex_counts_and_classes():
 
 
 def test_criterion_5_orthogonality():
-    all_pairs = sampled = 0
-    for params in oracle_grid():
+    groups = oracle_grid()
+    for params in groups:
         checker = DeepChecker(cross_validate(params), rng=random.Random(params.order))
+        count = len(checker.chars)
         result = checker.check_orthogonality()
-        assert result.ok, (params, result.detail)
-        if params.order <= 243:
-            all_pairs += 1
-        else:
-            sampled += 1
-    assert all_pairs >= 8 and sampled >= 15
-    report(5, f"exact first orthogonality: all pairs on {all_pairs} groups, "
-              f"100 sampled pairs on {sampled} larger groups")
+        assert result == ("orthogonality", True, f"all pairs ({count * (count + 1) // 2})"), (
+            params, result.detail)
+    report(5, f"exact first orthogonality: all pairs on every one of {len(groups)} groups")
 
 
 def test_criterion_6_matrix_relations():

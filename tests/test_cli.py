@@ -413,10 +413,10 @@ def test_star_import_binds_the_home_module_objects():
     ])
 
 
-# The whole `verify --deep` stderr report for one all-pairs group and two
-# sampled groups (|G| = 729 and 2401, the latter a benchmark deep group):
-# the detail strings and the rng draw order of the sampled checks are part
-# of the output, and test_cli_contract.py pins stdout only.
+# The whole `verify --deep` stderr report for three groups (|G| = 81, 729
+# and 2401, the last a benchmark deep group): the detail strings are part
+# of the output, orthogonality covers all #Irr (#Irr + 1) / 2 pairs at every
+# order, and test_cli_contract.py pins stdout only.
 DEEP_REPORTS = {
     "verify --p 3 --n 2 --m 2 --r 4 --deep": (
         "deep p=3 n=2 m=2 s=1 r=4 counts: OK classes=33 chars=33\n"
@@ -431,7 +431,7 @@ DEEP_REPORTS = {
     "verify --p 3 --n 4 --m 2 --s 1 --deep": (
         "deep p=3 n=4 m=2 s=1 r=28 counts: OK classes=297 chars=297\n"
         "deep p=3 n=4 m=2 s=1 r=28 class_functions: OK chars=297 classes=297\n"
-        "deep p=3 n=4 m=2 s=1 r=28 orthogonality: OK sampled pairs (105)\n"
+        "deep p=3 n=4 m=2 s=1 r=28 orthogonality: OK all pairs (44253)\n"
         "deep p=3 n=4 m=2 s=1 r=28 galois_action: OK chars=297 triples=8\n"
         "deep p=3 n=4 m=2 s=1 r=28 matrix_relations: OK degrees checked=[3]\n"
         "deep p=3 n=4 m=2 s=1 r=28 value_agreement: OK samples=50\n"
@@ -441,7 +441,7 @@ DEEP_REPORTS = {
     "verify --p 7 --n 2 --m 2 --s 1 --deep": (
         "deep p=7 n=2 m=2 s=1 r=8 counts: OK classes=385 chars=385\n"
         "deep p=7 n=2 m=2 s=1 r=8 class_functions: OK chars=385 classes=385\n"
-        "deep p=7 n=2 m=2 s=1 r=8 orthogonality: OK sampled pairs (105)\n"
+        "deep p=7 n=2 m=2 s=1 r=8 orthogonality: OK all pairs (74305)\n"
         "deep p=7 n=2 m=2 s=1 r=8 galois_action: OK chars=385 triples=12\n"
         "deep p=7 n=2 m=2 s=1 r=8 matrix_relations: OK degrees checked=[7]\n"
         "deep p=7 n=2 m=2 s=1 r=8 value_agreement: OK samples=50\n"

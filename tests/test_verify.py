@@ -1,4 +1,6 @@
 import random
+import sys
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -89,7 +91,7 @@ def test_general_oracle_on_every_small_abelian_group():
 
 @pytest.mark.parametrize("p, n, m", [(3, 1, 0), (3, 2, 2), (5, 1, 1), (3, 0, 3), (7, 1, 1)])
 def test_deep_checks_pass_on_abelian_groups(p, n, m):
-    # |G| <= 243: orthogonality runs over all pairs
+    # s = 0, every character linear; m = 0 and n = 0 included
     results = DeepChecker(cross_validate(validate(p, n, m, 1, abelian=True))).run_all()
     assert all(r.ok for r in results), [(r.name, r.detail) for r in results if not r.ok]
 
@@ -181,64 +183,144 @@ def _bump(checker, b, c):
     row[c] = 0 if row[c] is None else (row[c] + 1) % checker.qc
 
 
+def _tables(checker):
+    """Every character's table, its row from the basis rows (poisoned ones
+    included) spread over class_of: the tables that the checks speak about."""
+    class_of = checker.class_index[0]
+    rows = (_row(checker, k) for k in range(len(checker.chars)))
+    return [[row[c] for c in class_of] for row in rows]
+
+
+def _rows_off_formula(checker, b, c):
+    """The orthogonality FAIL for basis row b (-1 for Y) off the formula at class c."""
+    first = GroupElement(*divmod(checker.class_index[1][c], checker.params.p ** checker.params.m))
+    b %= len(checker.basis_rows)
+    return ("orthogonality", False, f"row {b} in class of {first}")
+
+
 def test_orthogonality_detects_corruption():
     # one poisoned basis cell breaks a pair that reads it: a Y cell under a
     # pair of linear characters, an X_0 and an X_1 cell under a pair of
-    # degrees 1 and 3, and an X_1 support cell under a diagonal entry
-    cross = cross_validate(validate(3, 2, 1, 4))  # 3 and 4 linear, 9 of degree 3
+    # degrees 1 and 3, and an X_1 support cell under a diagonal entry. The
+    # check names the cell, and the sum over G of the tables spread from
+    # the poisoned rows fails on that pair
+    params = validate(3, 2, 1, 4)
+    cross = cross_validate(params)  # 3 and 4 linear, 9 of degree 3
     cases = [((3, 4), -1, 5), ((3, 9), 0, 9), ((3, 9), 1, 10), ((9, 9), 1, 1)]
-    for (x, y), b, c in cases:
+    checker = DeepChecker(cross)
+    assert checker.check_orthogonality().ok
+    assert all(_full_pair_sums(params, checker.chars, _tables(checker), [x for x, _, _ in cases]))
+    for pair, b, c in cases:
         checker = DeepChecker(cross)
-        assert checker._pair_orthogonal(x, y, {})
         _bump(checker, b, c)
-        assert not checker._pair_orthogonal(x, y, {}), (x, y, b, c)
+        assert checker.check_orthogonality() == _rows_off_formula(checker, b, c)
+        assert not any(_full_pair_sums(params, checker.chars, _tables(checker), [pair])), pair
     # a Y cell turned to None drops its class from the diagonal sum
     checker = DeepChecker(cross)
     checker.basis_rows[-1][5] = None
-    assert not checker._pair_orthogonal(3, 3, {})
+    assert checker.check_orthogonality() == _rows_off_formula(checker, -1, 5)
+    assert not any(_full_pair_sums(params, checker.chars, _tables(checker), [(3, 3)]))
 
 
 def test_orthogonality_check_names_the_first_failing_entry():
-    # |G| = 27, all pairs in order: an X_1 cell is read by every pair with a
-    # degree-3 side, and the first of them is (0, 9)
+    # a basis cell off the formula is named by row and class, whatever the
+    # rng: an X_1 cell at |G| = 27, a Y and an X_1 cell at the identity at
+    # |G| = 3125, and an X_3 support cell at |G| = 6561, s = 3
     checker = DeepChecker(cross_validate(validate(3, 2, 1, 4)))
     _bump(checker, 1, 9)
-    assert checker.check_orthogonality() == ("orthogonality", False, "pair (0, 9)")
-
-    # |G| = 3125, sampled: replay the draws of Random(3)
+    assert checker.check_orthogonality() == (
+        "orthogonality", False, "row 1 in class of GroupElement(i=3, j=0)")
     cross = cross_validate(from_s(5, 3, 2, 1))
-    count = len(cross.chars)
-    replay = random.Random(3)
-    pairs = [(replay.randrange(count), replay.randrange(count))
-             for _ in range(deep.ORTHOGONALITY_PAIRS)]
-    # the identity's cells are 0 and never None: poisoning Y there breaks
-    # the first drawn pair with u_x != u_y; poisoning X_1 there breaks the
-    # first that reads X_1, here one of degree 1 and one of degree 5
-    chars = cross.chars
-    first_y = next(pair for pair in pairs if chars[pair[0]].u != chars[pair[1]].u)
-    first_x = next(pair for pair in pairs if 1 in (chars[pair[0]].t, chars[pair[1]].t))
-    assert (first_y, first_x) == ((243, 606), (485, 640))
-    for b, first in ((-1, first_y), (1, first_x)):
-        checker = DeepChecker(cross, rng=random.Random(3))
+    for b, seed in ((-1, 3), (1, 4)):
+        checker = DeepChecker(cross, rng=random.Random(seed))
         _bump(checker, b, 0)
-        assert checker.check_orthogonality() == ("orthogonality", False, f"pair {first}")
+        assert checker.check_orthogonality() == _rows_off_formula(checker, b, 0)
+    checker = DeepChecker(cross_validate(from_s(3, 4, 4, 3)), rng=random.Random(1845))
+    c = checker.basis_rows[3].index(None)
+    _bump(checker, 3, c)
+    assert checker.check_orthogonality() == _rows_off_formula(checker, 3, c)
 
-    # |G| = 6561, s = 3: the six characters of degree 27 are drawn for the
-    # fourth diagonal entry and for no pair, so an X_3 support cell breaks
-    # only that entry
-    cross = cross_validate(from_s(3, 4, 4, 3))
-    count = len(cross.chars)
-    top = [k for k, ch in enumerate(cross.chars) if ch.t == 3]
-    replay = random.Random(1845)
-    pairs = [(replay.randrange(count), replay.randrange(count))
-             for _ in range(deep.ORTHOGONALITY_PAIRS)]
-    diagonal = [replay.randrange(count) for _ in range(5)]
-    assert not set(top) & {k for pair in pairs for k in pair}
-    assert [k in top for k in diagonal] == [False, False, False, True, False]
-    assert diagonal[3] == 315
-    checker = DeepChecker(cross, rng=random.Random(1845))
-    _bump(checker, 3, checker.basis_rows[3].index(None))
-    assert checker.check_orthogonality() == ("orthogonality", False, "diagonal 315")
+    # a repeated table is named by its pair, T upwards, then in character
+    # order: at (3,4,3,2), a degree-9 character copied onto another of
+    # degree 9 and a linear one copied onto the last character collide at
+    # T = 2 and at T = 0, and the linear pair is named though it comes last
+    cross = cross_validate(from_s(3, 4, 3, 2))
+    chars = list(cross.chars)
+    nines = [k for k, ch in enumerate(chars) if ch.degree == 9]
+    chars[nines[1]], chars[-1] = chars[nines[0]], chars[5]
+    checker = DeepChecker(cross._replace(chars=chars))
+    assert checker.check_orthogonality() == ("orthogonality", False, f"pair (5, {len(chars) - 1})")
+    chars[-1] = cross.chars[-1]
+    checker = DeepChecker(cross._replace(chars=chars))
+    assert checker.check_orthogonality() == ("orthogonality", False, f"pair {tuple(nines[:2])}")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_orthogonality_fails_a_repeated_table_above_243(seed):
+    # (3,4,3,2), |G| = 2187: a degree-p^t character replaced (a) by an
+    # exact copy of another of that degree, (b) by that other relabelled
+    # u + p^(m-t), the same table under a non-canonical label whose B
+    # differs by p^(C-t), so only the factor p^T of the bucket key joins
+    # the two. The check fails both and names the pair; the sums over G
+    # fail on that pair and on no other pair of the replaced character
+    params = from_s(3, 4, 3, 2)
+    cross = cross_validate(params)
+    rng = random.Random(seed)
+    x = rng.choice([k for k, ch in enumerate(cross.chars) if ch.t > 0])
+    t = cross.chars[x].t
+    y = rng.choice([k for k, ch in enumerate(cross.chars) if ch.t == t and k != x])
+    relabelled = cross.chars[x]._replace(u=cross.chars[x].u + params.p ** (params.m - t))
+    tables = [value_table(ch, params) for ch in cross.chars]
+    for copy in (cross.chars[x], relabelled):
+        chars = list(cross.chars)
+        chars[y] = copy
+        checker = DeepChecker(cross._replace(chars=chars), rng=random.Random(seed))
+        assert checker.check_orthogonality() == (
+            "orthogonality", False, f"pair {(min(x, y), max(x, y))}")
+        tables[y] = value_table(copy, params)
+        assert tables[y] == tables[x]
+        pairs = [(min(k, y), max(k, y)) for k in range(len(chars))]
+        verdicts = _full_pair_sums(params, chars, tables, pairs)
+        assert [k for k, ok in enumerate(verdicts) if not ok] == [x]
+
+
+def test_orthogonality_equals_full_group_sums_on_every_pair():
+    # every non-abelian group to 729 (p = 3) and 625 (p = 5): the check
+    # passes, as do the sums over G on every pair; with the last character
+    # replaced by a copy of the first of its degree, the check names that
+    # pair, and it is the one pair whose sum over G fails
+    groups = [q for p, bound in ((3, 729), (5, 625)) for q in valid_parameter_sets(p, bound)]
+    assert len(groups) == 16
+    for params in groups:
+        cross = cross_validate(params)
+        chars, last = cross.chars, len(cross.chars) - 1
+        tables = [value_table(ch, params) for ch in chars]
+        pairs = [(x, y) for x in range(last + 1) for y in range(x, last + 1)]
+        assert DeepChecker(cross).check_orthogonality().ok
+        assert all(_full_pair_sums(params, chars, tables, pairs)), params
+        first = next(k for k, ch in enumerate(chars) if ch.t == chars[last].t)
+        poisoned = chars[:last] + [chars[first]]
+        result = DeepChecker(cross._replace(chars=poisoned)).check_orthogonality()
+        assert result == ("orthogonality", False, f"pair ({first}, {last})"), params
+        tables[last] = tables[first]
+        verdicts = _full_pair_sums(params, poisoned, tables, [(x, last) for x in range(last + 1)])
+        assert [x for x, ok in enumerate(verdicts) if not ok] == [first], params
+
+
+def test_a_missing_degree_reads_fail_not_an_exception():
+    # without its degree-3 characters, or with none at all, the list still
+    # gets all eight lines: the sampling checks name what they cannot draw
+    cross = cross_validate(from_s(3, 2, 1, 1))
+    linear = [ch for ch in cross.chars if ch.t == 0]
+    for chars, failed in ((linear, {"counts", "matrix_relations"}),
+                          ([], {"counts", "matrix_relations", "value_agreement"})):
+        results = DeepChecker(cross._replace(chars=chars), rng=random.Random(0)).run_all()
+        assert len(results) == 8
+        assert {r.name for r in results if not r.ok} == failed
+        details = {r.name: r.detail for r in results}
+        assert details["matrix_relations"] == "no character of degree 3"
+        if not chars:
+            assert details["value_agreement"] == "no characters"
 
 
 def test_galois_action_check_is_not_vacuous():
@@ -257,8 +339,8 @@ def test_galois_action_check_is_not_vacuous():
 
 
 def test_galois_action_checks_every_character_at_every_order():
-    # |G| = 2187, above EXHAUSTIVE_ORDER_BOUND: the X_2 cell at the class of
-    # b, off the support S_2, turned to 0. Only the 18 degree-9 characters of
+    # |G| = 2187: the X_2 cell at the class of b, off the support S_2,
+    # turned to 0. Only the 18 degree-9 characters of
     # 315 read it, so a sample of characters can miss it
     checker = DeepChecker(cross_validate(from_s(3, 4, 3, 2)))
     assert checker.check_galois_action() == ("galois_action", True, "chars=315 triples=12")
@@ -457,19 +539,42 @@ def test_class_rep_index_agrees_with_per_class_loop():
         assert [row[c] for c in class_of] != poisoned
 
 
-def _full_pair_orthogonal(checker, tables, x, y):
-    """Reference: sum_g psi_x(g) conj(psi_y(g)) == |G| [x = y], with the
-    sum taken over every cell of both tables and compared coefficient-wise."""
-    params = checker.params
-    level = params.ambient_level
+def _lanes(values):
+    """`values` as one int of 16-bit lanes. Every table is packed the same
+    way, so lane-wise arithmetic does not depend on the byte order."""
+    return int.from_bytes(array("H", values).tobytes(), sys.byteorder)
+
+
+def _full_pair_sums(params, chars, tables, pairs):
+    """Reference: yields, for each (x, y) in `pairs`, whether
+    sum_g psi_x(g) conj(psi_y(g)) == |G| [x = y], the sum taken over every
+    cell of both tables and tested by the dense reduction. The sum depends
+    only on the degrees and on the differences e_x - e_y mod p^C over the
+    common support, so it is taken once per distinct such difference table.
+    With each table packed into 16-bit lanes, one per element, a pair's
+    difference table is a few int operations."""
+    level, order = params.ambient_level, params.order
     qc = params.p ** level
-    coeff = checker.chars[x].degree * checker.chars[y].degree
-    acc = [0] * qc
-    for e1, e2 in zip(tables[x], tables[y]):
-        if e1 is not None and e2 is not None:
-            acc[(e1 - e2) % qc] += coeff
-    reduced = reduce_power_vector(params.p, level, acc)
-    return reduced == [params.order if x == y else 0] + [0] * (len(reduced) - 1)
+    assert 2 * qc < 0x8000
+    ones = _lanes([1] * order)
+    lifted = [_lanes([qc + (e or 0) for e in table]) for table in tables]
+    plain = [_lanes([e or 0 for e in table]) for table in tables]
+    present = [_lanes([0 if e is None else 0xFFFF for e in table]) for table in tables]
+    sums = {}
+    for x, y in pairs:
+        diff = lifted[x] - plain[y]  # lanes e_x - e_y + p^C, in [1, 2 p^C): no borrow
+        diff -= qc * (((diff + (0x8000 - qc) * ones) >> 15) & ones)  # p^C off lanes >= p^C
+        both = present[x] & present[y]
+        coeff = chars[x].degree * chars[y].degree
+        key = (diff & both, both, coeff, x == y)
+        if key not in sums:
+            acc = [0] * qc
+            for e1, e2 in zip(tables[x], tables[y]):
+                if e1 is not None and e2 is not None:
+                    acc[(e1 - e2) % qc] += coeff
+            acc[0] -= order * (x == y)
+            sums[key] = not any(reduce_power_vector(params.p, level, acc))
+        yield sums[key]
 
 
 def _full_traces_match(checker, table, k, a_mat, b_mat):
@@ -506,34 +611,20 @@ def test_class_representative_sums_match_full_group_walks():
         checker = DeepChecker(cross_validate(params), rng=random.Random(0))
         tables = [value_table(ch, params) for ch in checker.chars]
         count = len(checker.chars)
-        for x in range(count):
-            for y in range(count):
-                assert (checker._pair_orthogonal(x, y, {})
-                        is _full_pair_orthogonal(checker, tables, x, y))
-        # each basis row poisoned at one class, and its table on that whole
-        # class, class by class: the verdicts on the pairs among the first
-        # and last characters of each degree, every t_x != t_y included,
-        # must agree, false ones too
-        class_of, qc = checker.class_index[0], checker.qc
-        some = [pool[i] for t in range(params.s + 1) for i in (0, -1)
-                for pool in [[k for k, ch in enumerate(checker.chars) if ch.t == t]]]
+        pairs = [(x, y) for x in range(count) for y in range(x, count)]
+        assert checker.check_orthogonality().ok
+        assert all(_full_pair_sums(params, checker.chars, tables, pairs))
+        # each basis row poisoned at one class: the check names the cell,
+        # and the sums over G of the tables spread from the poisoned rows
+        # fail on some pair
         clean = [list(row) for row in checker.basis_rows]
-        clean_tables = [value_table(form, params) for form in basis_characters(params)]
-        verdicts = set()
         for b, row in enumerate(clean):
             for c, e in enumerate(row):
                 _bump(checker, b, c)
-                basis = list(clean_tables)
-                basis[b] = [checker.basis_rows[b][c] if class_of[g] == c else v
-                            for g, v in enumerate(basis[b])]
-                poisoned = {k: _combine(checker.chars[k], basis, qc) for k in some}
-                for x in some:
-                    for y in some:
-                        verdict = checker._pair_orthogonal(x, y, {})
-                        assert verdict is _full_pair_orthogonal(checker, poisoned, x, y), (b, c)
-                        verdicts.add(verdict)
+                assert checker.check_orthogonality() == _rows_off_formula(checker, b, c)
+                assert not all(_full_pair_sums(params, checker.chars, _tables(checker), pairs))
                 checker.basis_rows[b][c] = e
-        assert checker.basis_rows == clean and verdicts == {True, False}
+        assert checker.basis_rows == clean
         for degree in sorted({ch.degree for ch in checker.chars} - {1}):
             pool = [k for k, ch in enumerate(checker.chars) if ch.degree == degree]
             for k, other in zip(pool, pool[1:] + pool[:1]):
