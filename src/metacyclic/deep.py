@@ -402,7 +402,10 @@ class DeepChecker:
         return CheckResult("value_agreement", True, f"samples={VALUE_SAMPLES}")
 
     def check_rational_counts(self) -> CheckResult:
-        """Closed-form per-degree rational counts == oracle class counts."""
+        """Closed-form per-degree rational counts == oracle class counts, from
+        classes whose members, as a multiset, are exactly the listed characters."""
+        if sorted(ch for cls in self.galois for ch in cls.members) != sorted(self.chars):
+            return CheckResult("rational_counts", False, "class members != listed characters")
         formula = rational_counts_closed_form(self.params)
         oracle = rational_counts_from_classes(self.galois, self.params)
         ok = formula.by_degree == oracle

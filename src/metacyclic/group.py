@@ -134,8 +134,6 @@ def valid_parameter_sets(p: int, max_order: int):
     while p ** nm <= max_order:
         for n in range(2, nm):
             m = nm - n
-            if m < 1:
-                continue
             for s in range(1, min(n - 1, m) + 1):
                 yield from_s(p, n, m, s)
         nm += 1

@@ -113,13 +113,13 @@ def galois_classes(
     so each class is the cycle ch -> sigma_g(ch) -> ... of one generator g,
     walked until it returns to ch. Rejects an incomplete input list (sum of
     degree^2 must be |G|) and duplicates. Every image must lie in the list,
-    a walk may take at most phi(p^C) steps, and every class size is checked
+    each walk must return to its start, and every class size is checked
     against phi(p^L) of its field level, which is what the class size must be.
 
     The walk runs on positions in the sorted list: `_images` gives every
     character's image in one pass, one dict keyed on the characters turns
     images into positions, and a bytearray marks the positions already
-    classed.
+    classed: a walk stops at the first marked one.
     """
     if sum(ch.degree ** 2 for ch in chars) != params.order:
         raise ValidationError("character list is incomplete: sum(deg^2) != |G|")
@@ -127,29 +127,25 @@ def galois_classes(
     position = dict(zip(listed, range(len(listed))))
     if len(position) != len(listed):
         raise ValidationError("character list contains duplicates")
-    level_c = params.ambient_level
-    images = _images(listed, unit_group_generator(params.p, level_c), params)
+    images = _images(listed, unit_group_generator(params.p, params.ambient_level), params)
     successor = list(map(position.get, images))
     if None in successor:
         raise InternalInconsistencyError(
             "Galois image escapes the enumerated character list"
         )
-    max_steps = phi_pk(params.p, level_c)
     seen = bytearray(len(listed))
     classes: list[GaloisClass] = []
     start = seen.find(0)
     while start >= 0:
         cycle = []
         k = start
-        for _ in range(max_steps):
+        while not seen[k]:
             cycle.append(k)
             seen[k] = 1
             k = successor[k]
-            if k == start:
-                break
-        else:
+        if k != start:
             raise InternalInconsistencyError(
-                f"Galois walk from {listed[start]} exceeds phi(p^{level_c}) steps"
+                f"Galois walk from {listed[start]} does not return to it"
             )
         cycle.sort()
         members = tuple(map(listed.__getitem__, cycle))

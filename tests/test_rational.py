@@ -4,6 +4,7 @@ import time
 import pytest
 
 from metacyclic import complex_reps, rational
+from metacyclic.arith import phi_pk
 from metacyclic.complex_reps import (
     IrreducibleCharacter,
     character_value,
@@ -160,7 +161,6 @@ def test_nonlinear_class_counts_follow_the_two_cases():
     # for each degree p^t: if n-s >= m-t there are p^(m-t) classes, all with
     # field level n-s; otherwise p^(n-s) classes at level n-s plus
     # phi(p^(n-s)) classes at each level n-s < L <= m-t
-    from metacyclic.arith import phi_pk
     from metacyclic.group import from_s
 
     sets = [G1, G2, G3, validate(3, 2, 2, 4), validate(5, 3, 2, 26),
@@ -255,7 +255,26 @@ def test_broken_action_is_rejected_quickly(monkeypatch, escape):
         galois_classes(chars, params)
     assert time.perf_counter() - start < 2
     assert len(calls) == 1  # one bulk pass: the walk applies no action itself
-    assert ("escapes" if escape else "exceeds phi(p^4) steps") in str(exc.value)
+    assert ("escapes" if escape else "does not return to it") in str(exc.value)
+
+
+def test_cycle_longer_than_phi_p_c_fails_the_class_size(monkeypatch):
+    # a rotation of all positions is a permutation with one cycle through
+    # every character, longer than phi(p^C) = 54; the walk follows it to
+    # its end, and the class-size identity rejects it
+    params = validate(3, 4, 2, 10)
+    chars = enumerate_irreducibles(params)
+    assert len(chars) > phi_pk(3, params.ambient_level) == 54
+    calls = []
+
+    def rotation(chars, alpha, params):
+        calls.append(alpha)
+        return chars[1:] + chars[:1]
+
+    monkeypatch.setattr(rational, "_images", rotation)
+    with pytest.raises(InternalInconsistencyError, match=rf"class size {len(chars)} != phi\(p\^0\)"):
+        galois_classes(chars, params)
+    assert len(calls) == 1
 
 
 def test_galois_classes_reject_duplicates():

@@ -309,18 +309,38 @@ def test_orthogonality_equals_full_group_sums_on_every_pair():
 
 def test_a_missing_degree_reads_fail_not_an_exception():
     # without its degree-3 characters, or with none at all, the list still
-    # gets all eight lines: the sampling checks name what they cannot draw
+    # gets all eight lines: the sampling checks name what they cannot draw,
+    # and rational_counts finds classes whose members are not all listed
     cross = cross_validate(from_s(3, 2, 1, 1))
     linear = [ch for ch in cross.chars if ch.t == 0]
-    for chars, failed in ((linear, {"counts", "matrix_relations"}),
-                          ([], {"counts", "matrix_relations", "value_agreement"})):
+    for chars, failed in ((linear, {"counts", "matrix_relations", "rational_counts"}),
+                          ([], {"counts", "matrix_relations", "value_agreement",
+                                "rational_counts"})):
         results = DeepChecker(cross._replace(chars=chars), rng=random.Random(0)).run_all()
         assert len(results) == 8
         assert {r.name for r in results if not r.ok} == failed
         details = {r.name: r.detail for r in results}
         assert details["matrix_relations"] == "no character of degree 3"
+        assert details["rational_counts"] == "class members != listed characters"
         if not chars:
             assert details["value_agreement"] == "no characters"
+
+
+def test_rational_counts_ties_the_classes_to_the_listed_characters():
+    # one class swapped for a copy of another of the same degree and field
+    # level keeps every per-degree count, so only the members tie fails it
+    cross = cross_validate(from_s(3, 2, 1, 1))
+    assert DeepChecker(cross).check_rational_counts() == (
+        "rational_counts", True, "degrees=[1, 2, 6]")
+    first, second = [
+        k for k, cls in enumerate(cross.classes)
+        if (cls.representative.degree, cls.field_level) == (1, 1)
+    ][:2]
+    classes = list(cross.classes)
+    classes[second] = classes[first]
+    checker = DeepChecker(cross._replace(classes=classes))
+    assert checker.check_rational_counts() == (
+        "rational_counts", False, "class members != listed characters")
 
 
 def test_galois_action_check_is_not_vacuous():
