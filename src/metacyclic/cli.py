@@ -62,7 +62,9 @@ file or other resource at exit. `os._exit` would skip atexit handlers (so
 `-m cProfile` and `coverage run` would lose their output), and
 `gc.disable()` does not stop the collection that shutdown forces.
 `main(argv)` never freezes: tests and the benchmark's tracer call it in
-process.
+process. `entry()` also restores the default SIGPIPE action, so a reader
+that closes stdout early ends the process as it ends any Unix filter: by
+SIGPIPE, adding nothing to stderr, not as an internal error (exit 5).
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ import argparse
 import gc
 import importlib.util
 import os
+import signal
 import sys
 
 from .arith import phi_pk
@@ -450,9 +453,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    """The process entry: exit with `main()`'s code, and freeze the heap on
-    the way out so that shutdown's collections skip it (see the module
-    docstring). Only launchers call this; `main` never freezes."""
+    """The process entry: restore SIGPIPE's default action, exit with
+    `main()`'s code, and freeze the heap on the way out so that shutdown's
+    collections skip it (see the module docstring). Only launchers call
+    this; `main` never freezes and leaves the signal alone."""
+    if hasattr(signal, "SIGPIPE"):  # absent on Windows
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     try:
         sys.exit(main())
     finally:

@@ -22,18 +22,19 @@ Phi_p(x^(p^(C-1))), the p-gons {e + k p^(C-1)} span the integer relations
 among the p^C-th roots of unity (Lam-Leung, 2000), so sum_e c_e zeta^e = 0
 exactly when c is unchanged by e -> e + p^(C-1).
 
-`DeepChecker` builds only the s + 2 basis tables in full. A basis row is
-a table's exponents on the h = #Irr class representatives, in class order,
-placed by `class_index` = (class_of, firsts) from the brute-force
-classes, and `check_class_functions` certifies, cell by cell, that each
-basis table equals its row spread over class_of. By the identity above,
-psi's table is then l X_t + u Y over the basis rows spread over class_of,
-None where X_t is None: a class function. No per-character row exists;
-every later check reads the basis rows at the classes it needs:
-- orthogonality checks each basis row against (d, A, B) at every class,
-  then needs no sum: a pair's sum over G factors into two full geometric
-  sums, nonzero only when the pair's (A D, B D) mod p^C agree, so one
-  dict of those keys per degree covers every pair;
+A basis row is a basis form's exponents at the h = #Irr class
+representatives, in class order, computed from (d, A, B) at the least
+element of each class of `class_index` = (class_of, firsts). Only
+`check_class_functions` builds tables: each of the s + 2 basis tables in
+full, certified cell by cell to equal its row spread over class_of, then
+dropped. So each table is constant on every class and equals the formula,
+and by the identity above psi's table is l X_t + u Y over the basis rows
+spread over class_of, None where X_t is None: a class function. No
+per-character row exists; each later check reads only what it needs:
+- orthogonality reads only the forms (d, A, B): a pair's sum over G
+  factors into two full geometric sums, nonzero only when the pair's
+  (A D, B D) mod p^C agree, so one dict of those keys per degree covers
+  every pair;
 - the Galois action compares sigma_g psi with its image at every class;
 - traces are compared on the representatives, which covers every element
   because the matrices satisfy the presentation relations (so their trace
@@ -180,8 +181,8 @@ class CheckResult(NamedTuple):
 
 class DeepChecker:
     """Deepens one `CrossCheck`: takes its characters and Galois classes,
-    and caches the per-group state (p^C as `qc`, class index, basis tables
-    and rows) that the checks share; it keeps nothing per character. All
+    and caches the per-group state (p^C as `qc`, class index and basis
+    rows) that the checks share; it keeps nothing per character. All
     checks are exact; `detail` carries the work counts so suite logs show
     what actually ran. Sampled checks draw from `rng`, Random(0) unless one
     is given."""
@@ -207,15 +208,12 @@ class DeepChecker:
         return class_of, firsts
 
     @cached_property
-    def basis_tables(self) -> list[list[int | None]]:
-        """The value tables of `basis_characters`: X_0..X_s, then Y."""
-        return [value_table(form, self.params) for form in basis_characters(self.params)]
-
-    @cached_property
     def basis_rows(self) -> list[list[int | None]]:
-        """Each basis table's cells at the class representatives."""
-        firsts = self.class_index[1]
-        return [[table[g] for g in firsts] for table in self.basis_tables]
+        """The `_exponents` of each of `basis_characters` (X_0..X_s, then Y)
+        at the class representatives, the least element of each class;
+        `check_class_functions` ties each to its full value table."""
+        reps = [divmod(g, self.params.p ** self.params.m) for g in self.class_index[1]]
+        return [_exponents(form, self.params, reps) for form in basis_characters(self.params)]
 
     # -- individual checks ------------------------------------------------
 
@@ -234,16 +232,18 @@ class DeepChecker:
         return CheckResult("counts", ok, detail)
 
     def check_class_functions(self) -> CheckResult:
-        """Characters are constant on brute-force conjugacy classes. Each
-        basis table is read cell by cell: it must equal its row spread
-        over `class_of`, support (None) cells included. Then, by the
-        identity psi = l X_t + u Y on S_t of the module docstring, every
-        character's table is a class function, and every later check may
-        read the basis rows only. On failure, the detail names the first
-        element of the first class that the first failing basis table is
-        not constant on."""
+        """Characters are constant on brute-force conjugacy classes and
+        equal the formula. Each basis `value_table` is built here, read
+        cell by cell against its row (the formula at the representatives)
+        spread over `class_of`, support (None) cells included, and
+        dropped. Then, by the identity psi = l X_t + u Y on S_t of the
+        module docstring, every character's table is a class function, and
+        every later check may read the basis rows only. On failure, the
+        detail names the first element of the first class where the first
+        failing basis table leaves its row."""
         class_of, firsts = self.class_index
-        for table, row in zip(self.basis_tables, self.basis_rows):
+        for form, row in zip(basis_characters(self.params), self.basis_rows):
+            table = value_table(form, self.params)
             if [row[c] for c in class_of] != table:
                 bad = min(c for c, e in zip(class_of, table) if e != row[c])
                 first = GroupElement(*divmod(firsts[bad], self.params.p ** self.params.m))
@@ -260,11 +260,10 @@ class DeepChecker:
 
     def check_orthogonality(self) -> CheckResult:
         """First orthogonality on every pair, at every order, summing and
-        drawing nothing. Row pass: each basis row must be its form's
-        `_exponents` at the class representatives, None cells included; with
-        `check_class_functions`, every table is then the formula everywhere.
+        drawing nothing, from the monomial forms alone (which
+        `check_class_functions` ties to the tables).
 
-        Bucket test: psi_x and psi_y are both nonzero only on S_D, with
+        psi_x and psi_y are both nonzero only on S_D, with
         D = max(d_x, d_y), where their pair sum over G factors as
 
             d_x d_y * sum_{D|i} zeta^((A_x - A_y) i) * sum_{D|j} zeta^((B_x - B_y) j)
@@ -277,15 +276,8 @@ class DeepChecker:
         mod p^C agree. So, for T = 0..s, with the characters of t <= T in
         buckets keyed by (A p^T, B p^T) mod p^C, all pairs are orthogonal
         exactly when each character of t = T is alone in its bucket. A FAIL
-        names the first basis row and class off the formula, else the first
-        colliding pair met (T upwards, in character order)."""
+        names the first colliding pair met (T upwards, in character order)."""
         params, qc, chars = self.params, self.qc, self.chars
-        reps = [GroupElement(*divmod(g, params.p ** params.m)) for g in self.class_index[1]]
-        for b, (form, row) in enumerate(zip(basis_characters(params), self.basis_rows)):
-            expected = _exponents(form, params, reps)
-            if row != expected:
-                c = next(c for c, (e, f) in enumerate(zip(row, expected)) if e != f)
-                return CheckResult("orthogonality", False, f"row {b} in class of {reps[c]}")
         forms = [monomial_form(ch, params) for ch in chars]
         for t in range(params.s + 1):
             d, buckets = params.p ** t, {}

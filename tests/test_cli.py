@@ -494,7 +494,10 @@ def test_verify_deep_runs_each_oracle_stage_once(capsys, monkeypatch):
 
 
 def test_oracle_grid_sweep_tests_primality_211_times(capsys, monkeypatch):
-    # p is checked once per group, not once per valuation or Galois class
+    # 211 = 6 per group over 34 groups (two `_check_shape` calls, `split_r`,
+    # `p_adic_valuation` and two `assemble_components` calls), one per
+    # (p, C) generator of `unit_group_generator` (six, then cached), and one
+    # for the grid: a fixed count per group, not one per character or class
     from metacyclic import arith
 
     calls = []

@@ -133,6 +133,17 @@ def test_enumeration_checks_the_oracle_bound_first():
     assert len(enumerate_irreducibles(from_s(3, 7, 1, 1))) == 3 ** 7 + 3 ** 6 - 3 ** 5
 
 
+def test_enumeration_rejects_a_wrong_character_count(monkeypatch):
+    # the last orbit, (2, 8) of degree 9, listed twice past the tiling
+    # check: one character too many, and the count check names it before
+    # the sum of degree^2 fails too
+    real = complex_reps.orbit_decomposition
+    monkeypatch.setattr(complex_reps, "orbit_decomposition",
+                        lambda params: real(params) + real(params)[-1:])
+    with pytest.raises(InternalInconsistencyError, match="character count 106 != 105"):
+        enumerate_irreducibles(validate(3, 4, 2, 10))
+
+
 def test_enumeration_is_duplicate_free():
     chars = enumerate_irreducibles(validate(3, 2, 3, 4))
     assert len(set(chars)) == len(chars) == 99

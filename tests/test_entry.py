@@ -1,14 +1,16 @@
 """The process entry `cli.entry` and the modules a command loads.
 
 `entry()` is what `python -m metacyclic` and the installed `metacyclic`
-script run: it exits with `main()`'s code and calls `gc.freeze()` exactly
-once on the way out, on every exit path. `cli.main` alone never freezes.
+script run: it restores the default SIGPIPE action, exits with `main()`'s
+code and calls `gc.freeze()` exactly once on the way out, on every exit
+path. `cli.main` alone never freezes.
 """
 
 import ast
 import gc
 import importlib
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +31,15 @@ def freezes(monkeypatch):
     return calls
 
 
+@pytest.fixture(autouse=True)
+def handlers(monkeypatch):
+    """Patch `signal.signal` with a recorder, so that `entry()` called in
+    process never gives the test process the default SIGPIPE action."""
+    calls = []
+    monkeypatch.setattr(signal, "signal", lambda *args: calls.append(args))
+    return calls
+
+
 def _boom(args):
     raise RuntimeError("boom")
 
@@ -42,7 +53,7 @@ EXIT_PATHS = [
 
 
 @pytest.mark.parametrize("argv,code", EXIT_PATHS)
-def test_entry_exits_with_mains_code_and_freezes_once(argv, code, freezes,
+def test_entry_exits_with_mains_code_and_freezes_once(argv, code, freezes, handlers,
                                                       monkeypatch, capsys):
     monkeypatch.setitem(cli._COMMANDS, "counts", _boom)
     assert cli.main(argv.split()) == code
@@ -55,6 +66,7 @@ def test_entry_exits_with_mains_code_and_freezes_once(argv, code, freezes,
     assert exc.value.code == code
     assert len(freezes) == 1
     assert capsys.readouterr() == main_streams
+    assert handlers == [(signal.SIGPIPE, signal.SIG_DFL)]
 
 
 def test_entry_freezes_once_when_argparse_exits_inside_main(freezes, monkeypatch, capsys):
@@ -70,6 +82,30 @@ def test_entry_freezes_once_when_argparse_exits_inside_main(freezes, monkeypatch
     assert exc.value.code == inside.value.code == 0
     assert len(freezes) == 1
     assert capsys.readouterr() == main_streams
+
+
+# The reader of stdout is gone before the child starts. `decompose` writes
+# less than one buffer and fails at the flush at exit, `sweep` (203 rows)
+# fails mid-command. Either way the child dies by SIGPIPE, as a Unix filter
+# does, and adds nothing to its stderr: no "internal error" line, no exit 5.
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+@pytest.mark.parametrize("argv", ["decompose --p 3 --n 4 --m 2 --r 10",
+                                  "sweep --p 3 --max-order 10000000"])
+def test_a_closed_stdout_ends_the_process_by_sigpipe(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered
+    command = [sys.executable, "-m", "metacyclic", *argv.split()]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(command, stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    full = subprocess.run(command, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          env=env, timeout=60)
+    assert full.returncode == 0
+    assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, full.stderr)
 
 
 def _script_target() -> str:

@@ -148,6 +148,14 @@ def test_dimension_identity():
         assert oracle_decomposition(params).dimension() == params.order
 
 
+def test_a_missing_class_fails_the_dimension_identity():
+    # every class but the last is sound, but their components no longer
+    # fill QG: a hard fault, not a smaller decomposition
+    classes = galois_classes(enumerate_irreducibles(G1), G1)
+    with pytest.raises(InternalInconsistencyError, match="dimension identity failed"):
+        wedderburn_from_classes(classes[:-1], G1)
+
+
 def test_rational_counts_from_classes():
     classes = galois_classes(enumerate_irreducibles(G1), G1)
     counts = rational_counts_from_classes(classes, G1)

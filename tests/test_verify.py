@@ -191,19 +191,19 @@ def _tables(checker):
     return [[row[c] for c in class_of] for row in rows]
 
 
-def _rows_off_formula(checker, b, c):
-    """The orthogonality FAIL for basis row b (-1 for Y) off the formula at class c."""
+def _row_off_table(checker, c):
+    """The class-function FAIL for a basis row that leaves its table at class c."""
     first = GroupElement(*divmod(checker.class_index[1][c], checker.params.p ** checker.params.m))
-    b %= len(checker.basis_rows)
-    return ("orthogonality", False, f"row {b} in class of {first}")
+    return ("class_functions", False, f"in class of {first}")
 
 
 def test_orthogonality_detects_corruption():
     # one poisoned basis cell breaks a pair that reads it: a Y cell under a
     # pair of linear characters, an X_0 and an X_1 cell under a pair of
     # degrees 1 and 3, and an X_1 support cell under a diagonal entry. The
-    # check names the cell, and the sum over G of the tables spread from
-    # the poisoned rows fails on that pair
+    # class-function check names the cell, and the sum over G of the
+    # tables spread from the poisoned rows fails on that pair.
+    # Orthogonality reads only the forms, so it still passes
     params = validate(3, 2, 1, 4)
     cross = cross_validate(params)  # 3 and 4 linear, 9 of degree 3
     cases = [((3, 4), -1, 5), ((3, 9), 0, 9), ((3, 9), 1, 10), ((9, 9), 1, 1)]
@@ -213,32 +213,34 @@ def test_orthogonality_detects_corruption():
     for pair, b, c in cases:
         checker = DeepChecker(cross)
         _bump(checker, b, c)
-        assert checker.check_orthogonality() == _rows_off_formula(checker, b, c)
+        assert checker.check_class_functions() == _row_off_table(checker, c)
+        assert checker.check_orthogonality().ok
         assert not any(_full_pair_sums(params, checker.chars, _tables(checker), [pair])), pair
     # a Y cell turned to None drops its class from the diagonal sum
     checker = DeepChecker(cross)
     checker.basis_rows[-1][5] = None
-    assert checker.check_orthogonality() == _rows_off_formula(checker, -1, 5)
+    assert checker.check_class_functions() == _row_off_table(checker, 5)
     assert not any(_full_pair_sums(params, checker.chars, _tables(checker), [(3, 3)]))
 
 
 def test_orthogonality_check_names_the_first_failing_entry():
-    # a basis cell off the formula is named by row and class, whatever the
-    # rng: an X_1 cell at |G| = 27, a Y and an X_1 cell at the identity at
-    # |G| = 3125, and an X_3 support cell at |G| = 6561, s = 3
+    # a basis row that leaves its table is named by its class, by the
+    # class-function check, whatever the rng: an X_1 cell at |G| = 27, a Y
+    # and an X_1 cell at the identity at |G| = 3125, and an X_3 support
+    # cell at |G| = 6561, s = 3
     checker = DeepChecker(cross_validate(validate(3, 2, 1, 4)))
     _bump(checker, 1, 9)
-    assert checker.check_orthogonality() == (
-        "orthogonality", False, "row 1 in class of GroupElement(i=3, j=0)")
+    assert checker.check_class_functions() == (
+        "class_functions", False, "in class of GroupElement(i=3, j=0)")
     cross = cross_validate(from_s(5, 3, 2, 1))
     for b, seed in ((-1, 3), (1, 4)):
         checker = DeepChecker(cross, rng=random.Random(seed))
         _bump(checker, b, 0)
-        assert checker.check_orthogonality() == _rows_off_formula(checker, b, 0)
+        assert checker.check_class_functions() == _row_off_table(checker, 0)
     checker = DeepChecker(cross_validate(from_s(3, 4, 4, 3)), rng=random.Random(1845))
     c = checker.basis_rows[3].index(None)
     _bump(checker, 3, c)
-    assert checker.check_orthogonality() == _rows_off_formula(checker, 3, c)
+    assert checker.check_class_functions() == _row_off_table(checker, c)
 
     # a repeated table is named by its pair, T upwards, then in character
     # order: at (3,4,3,2), a degree-9 character copied onto another of
@@ -519,15 +521,36 @@ def test_class_function_check_is_not_vacuous(monkeypatch):
     central = [cls for cls in classes if len(cls) == 1][-1]
     clean = value_table(x0, params)
 
-    for cls, ok in ((big, False), (central, True)):
+    # a cell of a large class, and a central cell, which keeps the table a
+    # class function but moves it off the formula: both fail
+    for cls, detail in ((big, "GroupElement(i=0, j=1)"),  # big = (1, 10, 19)
+                        (central, str(GroupElement(*divmod(central[0], 3))))):
         table = list(clean)
         g = cls[-1]
         table[g] = (table[g] + 1) % 9
         monkeypatch.setattr(deep, "value_table", _poisoned_value_table(x0, table))
         result = DeepChecker(cross_validate(params)).check_class_functions()
-        assert result.ok is ok
-        if not ok:
-            assert result.detail == "in class of GroupElement(i=0, j=1)"  # big = (1, 10, 19)
+        assert result == ("class_functions", False, f"in class of {detail}")
+
+
+def test_class_function_check_fails_tables_that_stay_class_functions(monkeypatch):
+    # (3,2,1,4): each basis table bumped at the central a^3, and each with
+    # the whole class of b = (1, 10, 19) shifted by 1 (a None cell to 0).
+    # Both tables stay constant on every class, yet leave the formula
+    params = validate(3, 2, 1, 4)
+    cross, classes = cross_validate(params), conjugacy_classes(params)
+    assert (9,) in classes and (1, 10, 19) in classes
+    for form in basis_characters(params):
+        clean = value_table(form, params)
+        for cells, first in (((9,), "GroupElement(i=3, j=0)"),
+                             ((1, 10, 19), "GroupElement(i=0, j=1)")):
+            poisoned = list(clean)
+            for g in cells:
+                poisoned[g] = 0 if clean[g] is None else (clean[g] + 1) % 9
+            assert _is_class_function(poisoned, classes)
+            monkeypatch.setattr(deep, "value_table", _poisoned_value_table(form, poisoned))
+            result = DeepChecker(cross).check_class_functions()
+            assert result == ("class_functions", False, f"in class of {first}"), form
 
 
 def test_class_rep_index_agrees_with_per_class_loop():
@@ -634,14 +657,14 @@ def test_class_representative_sums_match_full_group_walks():
         pairs = [(x, y) for x in range(count) for y in range(x, count)]
         assert checker.check_orthogonality().ok
         assert all(_full_pair_sums(params, checker.chars, tables, pairs))
-        # each basis row poisoned at one class: the check names the cell,
-        # and the sums over G of the tables spread from the poisoned rows
-        # fail on some pair
+        # each basis row poisoned at one class: the class-function check
+        # names the cell, and the sums over G of the tables spread from the
+        # poisoned rows fail on some pair
         clean = [list(row) for row in checker.basis_rows]
         for b, row in enumerate(clean):
             for c, e in enumerate(row):
                 _bump(checker, b, c)
-                assert checker.check_orthogonality() == _rows_off_formula(checker, b, c)
+                assert checker.check_class_functions() == _row_off_table(checker, c)
                 assert not all(_full_pair_sums(params, checker.chars, _tables(checker), pairs))
                 checker.basis_rows[b][c] = e
         assert checker.basis_rows == clean
@@ -687,6 +710,20 @@ def _move_one_element(classes):
     return fake
 
 
+def test_counts_check_reads_the_brute_force_class_count(monkeypatch):
+    # (3,2,1,4): the last two classes merged. The characters and both
+    # count formulas are untouched, so only the class count disagrees
+    cross = cross_validate(validate(3, 2, 1, 4))
+    assert DeepChecker(cross).check_counts() == ("counts", True, "classes=11 chars=11")
+
+    def merged(params):
+        classes = conjugacy_classes(params)
+        return classes[:-2] + [tuple(sorted(classes[-2] + classes[-1]))]
+
+    monkeypatch.setattr(deep, "conjugacy_classes", merged)
+    assert DeepChecker(cross).check_counts() == ("counts", False, "classes=10 chars=11")
+
+
 def _shifted_form(da, db):
     """A `monomial_form` with da added to A and B multiplied by db."""
     form = deep.monomial_form
@@ -717,11 +754,11 @@ def test_run_all_fails_on_each_poison(monkeypatch):
     poison_cell(y, 19, 1)  # basis cell: Y(a^6 b) is 3, its class reads 3 everywhere
     assert failed()["class_functions"] == "in class of GroupElement(i=0, j=1)"
     poison_cell(x1, 9, None)  # support: a^3 is in S_1
-    assert "orthogonality" in failed()
+    assert failed()["class_functions"] == "in class of GroupElement(i=3, j=0)"
     poison_cell(x1, 1, 0)  # support: b is not in S_1
     assert failed()["class_functions"] == "in class of GroupElement(i=0, j=1)"
-    poison_cell(y, 9, None)  # Y is never None; a^3 is central, so only the rows show it
-    assert "class_functions" not in failed() and "orthogonality" in failed()
+    poison_cell(y, 9, None)  # Y is never None; a^3 is central, its row cell is the formula
+    assert failed()["class_functions"] == "in class of GroupElement(i=3, j=0)"
     monkeypatch.undo()
 
     monkeypatch.setattr(deep, "conjugacy_classes", _move_one_element(conjugacy_classes))
@@ -756,17 +793,17 @@ def test_run_all_builds_only_the_basis_tables(monkeypatch, p, n, m, r):
     assert [len(row) for row in checker.basis_rows] == [h] * (params.s + 2)
 
 
-def _class_function_reference(table, classes, qb):
-    """Reference verdict and detail: the table's representative cells,
-    spread over every element, must give the table back."""
+def _class_function_reference(clean, table, classes, qb):
+    """Reference verdict and detail: the clean formula table's
+    representative cells, spread over every element, must give the table."""
     class_of = [0] * len(table)
     for c, cls in enumerate(classes):
         for g in cls:
             class_of[g] = c
-    row = [table[cls[0]] for cls in classes]
+    row = [clean[cls[0]] for cls in classes]
     if [row[c] for c in class_of] == table:
         return True, ""
-    bad = next(cls for cls in classes if len({table[g] for g in cls}) > 1)
+    bad = next(cls for cls in classes if any(table[g] != clean[cls[0]] for g in cls))
     return False, f"in class of {GroupElement(*divmod(bad[0], qb))}"
 
 
@@ -781,7 +818,9 @@ def _certificate_groups():
 
 def test_class_function_certificate_equals_full_spread(monkeypatch):
     # one basis table poisoned at a time: the check's verdict and detail
-    # are those of the full spread of that table
+    # are those of the full spread of the clean formula's representative
+    # cells, so every poisoning that changes a cell fails, a whole class
+    # shifted (still a class function) included
     groups = list(_certificate_groups())
     assert len(groups) == 21
     rng = random.Random(13)
@@ -799,21 +838,22 @@ def test_class_function_certificate_equals_full_spread(monkeypatch):
         for g in (last[-1], second[min(1, len(second) - 1)]):  # one cell
             poisoned = list(clean)
             poisoned[g] = 0 if clean[g] is None else (clean[g] + 1) % qc
-            poisonings.append((poisoned, None))
+            poisonings.append((poisoned, False))
+        g = rng.randrange(params.order)
         poisoned = list(clean)
-        poisoned[rng.randrange(params.order)] = None
-        poisonings.append((poisoned, None))
+        poisoned[g] = None
+        poisonings.append((poisoned, clean[g] is None))  # a no-op on a None cell
         cells = rng.choice(classes)  # a whole class: still a class function
         poisoned = list(clean)
         value = 0 if clean[cells[0]] is None else (clean[cells[0]] + 1) % qc
         for g in cells:
             poisoned[g] = value
-        poisonings.append((poisoned, True))
+        poisonings.append((poisoned, False))
         for poisoned, expected in poisonings:
             monkeypatch.setattr(deep, "value_table", _poisoned_value_table(form, poisoned))
             result = DeepChecker(cross).check_class_functions()
-            ok, detail = _class_function_reference(poisoned, classes, qb)
+            ok, detail = _class_function_reference(clean, poisoned, classes, qb)
             assert (result.ok, result.ok or result.detail) == (ok, ok or detail), params
-            assert expected is None or result.ok is expected
+            assert result.ok is expected
             failed += not result.ok
-    assert failed >= 2 * 17  # both one-cell poisonings fail on every non-abelian group
+    assert failed >= 3 * 21  # both one-cell poisonings and the class shift, on every group
